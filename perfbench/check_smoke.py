@@ -12,6 +12,8 @@ Checks, for every workload in ``BENCHMARK.json``:
   (respectively per-layer) metrics of ``BENCHMARK.json``;
 * a planted wrong answer fails the correctness check (exit 1,
   ``"correct": false``);
+* no process a run started outlives it (this process adopts orphans as
+  a Linux child subreaper, so even one that ends a moment later counts);
 
 and that the command exits non-zero, printing no result, in a directory
 holding only ``BENCHMARK.json`` and the benchmark's files.
@@ -19,7 +21,9 @@ holding only ``BENCHMARK.json`` and the benchmark's files.
 
 from __future__ import annotations
 
+import ctypes
 import json
+import os
 import shutil
 import subprocess
 import tempfile
@@ -27,6 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+#: from <linux/prctl.h>
+PR_SET_CHILD_SUBREAPER = 36
 
 
 def run(workload: str, trace: int, *extra: str, cwd: Path = ROOT) -> tuple[int, str]:
@@ -34,8 +40,37 @@ def run(workload: str, trace: int, *extra: str, cwd: Path = ROOT) -> tuple[int, 
         "--workload", workload, "--seed", "3", "--seconds", "2", "--trace", str(trace),
         "--size", "tiny", *extra,
     ]
-    proc = subprocess.run(command, cwd=cwd, capture_output=True, text=True, timeout=300)
-    return proc.returncode, proc.stdout
+    with tempfile.TemporaryFile("w+") as out:
+        proc = subprocess.Popen(command, cwd=cwd, stdout=out, stderr=subprocess.DEVNULL)
+        proc.wait(timeout=300)
+        assert not left_behind(), f"{workload} trace={trace}: a process outlived the run"
+        out.seek(0)
+        return proc.returncode, out.read()
+
+
+def become_subreaper() -> None:
+    """Adopt the orphans of every run: a process that a run leaves behind
+    is re-parented to this one instead of init, so :func:`left_behind`
+    sees it even when it ends a moment after the run."""
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    libc.prctl.restype = ctypes.c_int
+    if libc.prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) != 0:
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_CHILD_SUBREAPER) failed")
+
+
+def left_behind() -> bool:
+    """Whether any process outlived the run just waited for (reaps the
+    ones that have ended since)."""
+    found = False
+    while True:
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return found
+        if pid == 0:
+            return True  # an adopted process is still running
+        found = True
 
 
 def result_of(stdout: str) -> dict:
@@ -87,6 +122,7 @@ def check_bare_directory() -> None:
 
 
 def main() -> int:
+    become_subreaper()
     for workload in (w["name"] for w in SPEC["workloads"]):
         for trace in (0, 1):
             check_schema(workload, trace)

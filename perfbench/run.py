@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -39,6 +40,9 @@ def main(argv: list[str] | None = None) -> int:
         # the hash seed is read at interpreter start: re-exec under it
         os.environ.update(PINNED_ENV)
         os.execv(sys.executable, [sys.executable, *sys.argv])
+    # SIGTERM unwinds like an error, so the server processes are killed
+    # and waited for on the way out
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, required=True)

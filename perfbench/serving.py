@@ -8,7 +8,7 @@ dir, then drives ``server.py`` in its own process:
   round is ``/advise`` for one pool query (Zipf-skewed draws, so first-
   seen and recurring queries mix) followed by ``POST /feedback`` with
   the labelled runtime of the chosen placement;
-* ``predict`` — an open loop at ``PREDICT_RATE_RPS``: each arrival is a
+* ``predict`` — an open loop paced at ``PREDICT_RATE_RPS``: each arrival is a
   planner costing 12 candidate joint graphs (2 placements x 6 seeded
   selectivity levels of one pool query) with ``/predict``, picking a
   placement, and reporting the observed runtime with a metric-only
@@ -49,12 +49,21 @@ from repro.stats import StatisticsCatalog, make_estimator
 DATABASE = "imdb"
 MODEL_NAME = "perfbench-costgnn"
 SESSIONS = 2
+#: predict client threads: one, so a /feedback never waits behind a
+#: concurrent /predict for the GIL (with two, feedback p50 spread 0.47
+#: over five seeds)
+PLANNERS = 1
 ZIPF_A = 1.1
 #: a third of the unique-traffic /predict capacity measured on a 2-core
 #: x86 host (~30 requests/s of 12 graphs); at half capacity the Poisson
 #: bursts queued and p95 latency swung from run to run
 PREDICT_RATE_RPS = 10.0
-SETUP_REPEATS = 3
+#: arrivals are paced, not Poisson: request k is due at (k + u) / rate
+#: with u uniform in [0, PACING_JITTER). Even at a third of capacity,
+#: Poisson bursts queued whenever the shared host slowed down, and over
+#: ten seeds latency p50 spread 0.46 and p95 0.97
+PACING_JITTER = 0.3
+SETUP_REPEATS = 5
 STRATEGY = "conservative"
 #: served vs in-process predictions (float32 model, different batching)
 RTOL = 1e-4
@@ -333,7 +342,7 @@ class Arrival:
     graphs: list | None  # kept for the seeded sample that is re-checked
 
 
-def _plan_chunk(seed: int, chunk: int, grids: list, keep: set) -> list[Arrival]:
+def _plan_chunk(chunk: int, grids: list, keep: set) -> list[Arrival]:
     """Label one fresh query per arrival and featurize its 12 candidates."""
     database = corpus.make_database(DATABASE)
     entries: list = []
@@ -341,7 +350,7 @@ def _plan_chunk(seed: int, chunk: int, grids: list, keep: set) -> list[Arrival]:
     while len(entries) < len(grids):
         bench = corpus.label(
             corpus.StageClock(), DATABASE, database, len(grids) - len(entries),
-            [seed, 99, chunk, batch], corpus.UDF_FILTER_JOIN_WORKLOAD,
+            [corpus.CORPUS_SEED, 99, chunk, batch], corpus.UDF_FILTER_JOIN_WORKLOAD,
         )
         entries += corpus.advisor_entries(bench)
         batch += 1
@@ -387,23 +396,35 @@ def plan_predict(seed: int, seconds: float, n_checks: int) -> PredictPlan:
     across requests (within a request the 12 candidates can coincide:
     the selectivity level often leaves the featurized graph unchanged).
 
+    The queries come from the fixed corpus seed; ``seed`` draws their
+    selectivity levels, their order and the send times. With queries
+    drawn from the seed too, request sizes differed between seeds and
+    moved latency p95 with them.
+
     Labelling and featurizing a few hundred queries is input generation,
     not measurement, so it fans out over one worker process per core.
     """
     rng = np.random.default_rng([seed, 7])
     n = max(2, int(round(PREDICT_RATE_RPS * seconds)))
-    due = np.sort(rng.uniform(0.0, seconds, size=n))
+    due = (np.arange(n) + rng.uniform(0.0, PACING_JITTER, size=n)) / PREDICT_RATE_RPS
     grids = [np.sort(rng.uniform(0.02, 1.0, size=len(SELECTIVITY_LEVELS))) for _ in range(n)]
     checked = set(int(i) for i in rng.choice(n, size=min(n_checks, n), replace=False))
+    order = rng.permutation(n)
     workers = max(1, min(2, os.cpu_count() or 1, n))
     bounds = np.linspace(0, n, workers + 1).astype(int)
     jobs = [
-        (seed, c, grids[lo:hi], {i - lo for i in checked if lo <= i < hi})
+        (c, grids[lo:hi], {i - lo for i in checked if lo <= i < hi})
         for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
     ]
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+    # fork, not spawn: a spawn pool's semaphores start multiprocessing's
+    # resource tracker, a process that outlives the run. Forking is safe
+    # only while this process runs no other thread (the servers start later).
+    if threading.active_count() > 1:
+        raise RuntimeError("plan_predict forks its workers: start no thread before it")
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         chunks = list(pool.map(_plan_chunk, *zip(*jobs)))
-    return PredictPlan(due, [a for chunk in chunks for a in chunk])
+    arrivals = [a for chunk in chunks for a in chunk]
+    return PredictPlan(due, [arrivals[i] for i in order])
 
 
 def run_predict(server: ServerProcess, data: Corpus, plan: PredictPlan) -> Traffic:
@@ -452,7 +473,7 @@ def run_predict(server: ServerProcess, data: Corpus, plan: PredictPlan) -> Traff
             traffic.lateness.extend(lateness)
             traffic.checks.extend(checks)
 
-    threads = [threading.Thread(target=planner, args=(i,)) for i in range(SESSIONS)]
+    threads = [threading.Thread(target=planner, args=(i,)) for i in range(PLANNERS)]
     for t in threads:
         t.start()
     for t in threads:

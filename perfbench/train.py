@@ -40,8 +40,11 @@ HOLDOUT = 0.25
 #: held-out Q-error above 100 at this corpus size
 EPOCHS = 40
 LR = 1e-3
-SETUP_REPEATS = 3
-DECIDE_PASSES = 3
+#: five, not three: with three the median spread 0.39 over ten seeds
+SETUP_REPEATS = 5
+#: ten passes, about 17 s of decisions: this host's CPU speed drifts by
+#: +-20% over tens of seconds, and a shorter window sampled one level
+DECIDE_PASSES = 10
 #: labelled queries per database per second of ``--seconds``
 QUERIES_PER_DB_SECOND = 2.0
 
@@ -123,7 +126,8 @@ def pipeline(seed: int, n_queries: int, epochs: int, log_dir: Path,
     log = FeedbackLog(log_dir, capacity=1 << 20)
     decide_s, feedback_s, chosen = [], [], []
     # every held-out query is advised DECIDE_PASSES times: about 20
-    # decisions made the median and p95 jump between queries' costs
+    # decisions made the median and p95 jump between queries' costs, and
+    # with 3 passes the median still spread 0.23 over ten seeds
     for k in np.concatenate([rng.permutation(len(advised)) for _ in range(DECIDE_PASSES)]):
         advisor, entry = advised[k]
         t0 = time.perf_counter()
