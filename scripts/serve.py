@@ -11,10 +11,10 @@ advice over HTTP::
     curl localhost:8080/models
     curl -X POST localhost:8080/advise -d '{"query": {...}}'
 
-With ``--workers N`` the service runs the multi-process tier instead
-(DESIGN.md §14): N worker processes behind the fingerprint-affinity
-router, fronted by the asyncio HTTP server (``/predict``, ``/healthz``,
-``/stats`` — placement advice stays on the single-process path)::
+``--workers N`` only picks the scoring backend: N worker processes
+behind the fingerprint-affinity router (DESIGN.md §14) instead of the
+in-process sharded engine. Every endpoint, placement advice included,
+works the same on both::
 
     PYTHONPATH=src python scripts/serve.py --dataset movielens \
         --workers 4 --port 8080
@@ -40,7 +40,6 @@ from repro.serve import (
     PreparedRequestCache,
     ShardedEngine,
     WorkerRouter,
-    make_async_server,
     make_server,
 )
 from repro.serve import faults
@@ -87,21 +86,37 @@ def build_service(args: argparse.Namespace):
         )
         print(f"published {version.ref}")
 
-    engine = ShardedEngine(
-        model,
-        shards=args.shards or None,  # None -> $REPRO_SERVE_SHARDS / cores
-        max_batch_size=args.max_batch_size,
-        max_wait_us=args.max_wait_us,
-        request_cache=PreparedRequestCache(),
-        prediction_cache=PredictionCache(),
-        max_queue=args.queue_cap or None,  # None -> $REPRO_QUEUE_CAP
-        breaker=CircuitBreaker(),
-        fallback=DegradedFallback(),
-    )
-    print(
-        f"inference engine: {engine.n_shards} shard(s), fast-path caches on, "
-        f"breaker + degraded fallback armed"
-    )
+    if args.workers > 0:
+        # every worker process loads the published version from the
+        # shared registry root, which is also what makes later canary
+        # promotions reach all of them
+        engine = WorkerRouter(
+            registry.root,
+            model_name,
+            model_version=version.version,
+            workers=args.workers,
+            shards_per_worker=max(1, args.shards),
+            max_batch_size=args.max_batch_size,
+            max_wait_us=args.max_wait_us,
+            max_queue=args.queue_cap or None,
+        )
+        print(f"worker router: {args.workers} process(es), affinity routing on")
+    else:
+        engine = ShardedEngine(
+            model,
+            shards=args.shards or None,  # None -> $REPRO_SERVE_SHARDS / cores
+            max_batch_size=args.max_batch_size,
+            max_wait_us=args.max_wait_us,
+            request_cache=PreparedRequestCache(),
+            prediction_cache=PredictionCache(),
+            max_queue=args.queue_cap or None,  # None -> $REPRO_QUEUE_CAP
+            breaker=CircuitBreaker(),
+            fallback=DegradedFallback(),
+        )
+        print(
+            f"inference engine: {engine.n_shards} shard(s), fast-path caches on, "
+            f"breaker + degraded fallback armed"
+        )
     service = AdvisorService(
         engine,
         catalog=StatisticsCatalog(bench.database),
@@ -118,74 +133,21 @@ def build_service(args: argparse.Namespace):
     return server, registry, version
 
 
-def build_multiproc_service(args: argparse.Namespace):
-    """(async server, router, version) for ``--workers N`` serving.
-
-    The model travels through the registry — published here if needed,
-    loaded by every worker process from the shared root — which is also
-    what makes later canary promotions reach all workers.
-    """
-    injector = faults.install_from_env()
-    if injector is not None:
-        print(f"fault injection armed: {injector.spec!r} (seed={injector.seed})")
-    registry = ModelRegistry(args.registry_dir)
-    model_name = args.model or f"costgnn-{args.dataset}"
-    versions = registry.versions(model_name)
-    if not versions or args.retrain:
-        print(f"building {args.dataset} benchmark ({args.queries} queries)...")
-        bench = build_dataset_benchmark(
-            args.dataset, n_queries=args.queries, seed=args.seed
-        )
-        print(f"training {model_name} (epochs={args.epochs})...")
-        samples = prepare_dataset_samples(
-            bench, estimator_name="actual", placements=training_placements()
-        )
-        graceful = GracefulModel(
-            GNNConfig(hidden_dim=args.hidden_dim),
-            TrainConfig(epochs=args.epochs),
-        )
-        graceful.fit(samples)
-        version = registry.publish(
-            model_name,
-            graceful.model,
-            metrics={"n_training_samples": len(samples)},
-            description=f"trained by scripts/serve.py on {args.dataset}",
-        )
-        print(f"published {version.ref}")
-    else:
-        version = registry.latest(model_name)
-        print(f"serving registry model {version.ref} ({version.dtype})")
-    router = WorkerRouter(
-        registry.root,
-        model_name,
-        model_version=version.version,
-        workers=args.workers,
-        shards_per_worker=max(1, args.shards),
-        max_batch_size=args.max_batch_size,
-        max_wait_us=args.max_wait_us,
-        max_queue=args.queue_cap or None,
-    )
-    print(f"worker router: {args.workers} process(es), affinity routing on")
-    server = make_async_server(
-        router, host=args.host, port=args.port, model_ref=version.ref
-    )
-    return server, router, version
-
-
 def _raise_keyboard_interrupt(signum, frame):
     """SIGTERM → the same clean-drain path as ctrl-c."""
     raise KeyboardInterrupt
 
 
 def serve_until_signalled(server) -> None:
-    """Serve until SIGTERM/SIGINT, then drain the engine cleanly.
+    """Serve until SIGTERM/SIGINT, then drain the backend cleanly.
 
     Container and CI deployments stop services with SIGTERM; without a
     handler the process would die mid-batch, dropping queued futures.
     The handler converts SIGTERM into the KeyboardInterrupt path so both
     signals shut down identically: stop accepting requests, then drain
-    the micro-batch engine. (Runs on the main thread — signal handlers
-    cannot be installed anywhere else.)
+    the scoring backend (shard threads or worker processes). (Runs on
+    the main thread — signal handlers cannot be installed anywhere
+    else.)
     """
     previous = signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
     try:
@@ -194,10 +156,12 @@ def serve_until_signalled(server) -> None:
         pass
     finally:
         signal.signal(signal.SIGTERM, previous)
-        server.drain()
+        hung = server.drain()
+        if hung:
+            print(f"warning: {hung} worker(s) needed a hard kill")
 
 
-def main(argv: list[str] | None = None) -> None:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dataset", default="movielens")
     parser.add_argument("--queries", type=int, default=60)
@@ -248,11 +212,14 @@ def main(argv: list[str] | None = None) -> None:
         "--workers",
         type=int,
         default=0,
-        help="worker processes for the multi-process tier (0 = classic "
-        "single-process service with placement advice)",
+        help="worker processes for the multi-process tier (0 = in-process "
+        "sharded engine)",
     )
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
 
+
+def main(argv: list[str] | None = None) -> None:
+    args = parse_args(argv)
     if args.deadline_ms > 0:
         # the HTTP layer reads the env per request, so the flag is just
         # a spelling of the env knob that wins over an inherited value
@@ -260,24 +227,6 @@ def main(argv: list[str] | None = None) -> None:
     if args.slow_ms >= 0:
         # same pattern: tracing reads the env per request
         os.environ["REPRO_SLOW_MS"] = str(args.slow_ms)
-    if args.workers > 0:
-        server, router, version = build_multiproc_service(args)
-        server.serve_in_background()
-        print(f"serving {version.ref} at {server.url} (SIGTERM/ctrl-c to stop)")
-        print(f"metrics at {server.url}/metrics, stats at {server.url}/stats")
-        previous = signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
-        try:
-            while True:
-                signal.pause()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            signal.signal(signal.SIGTERM, previous)
-            server.drain()
-            hung = router.close()
-            if hung:
-                print(f"warning: {hung} worker(s) needed a hard kill")
-        return
     server, _, version = build_service(args)
     print(f"serving {version.ref} at {server.url} (SIGTERM/ctrl-c to stop)")
     print(f"metrics at {server.url}/metrics, stats at {server.url}/stats")

@@ -270,7 +270,7 @@ def router_samples(router, include_workers: bool = True):
     ``include_workers=True`` asks every live worker for its engine
     snapshot (one ``stats`` frame each, 5s timeout) and sums the
     counters under ``scope="workers"`` — that is what surfaces the
-    worker-side cache tiers and breaker through the async front end's
+    worker-side cache tiers and breaker through the front end's
     ``/metrics``.  Ratio-like keys (hit_rate, mean_batch_size, epoch)
     are dropped from the sums: a sum of ratios is not a ratio.
     """
@@ -330,10 +330,8 @@ def router_samples(router, include_workers: bool = True):
                 "repro_router_worker_known_fps", worker.get("known_fps", 0), wlabels
             )
         )
-    # the payload tier lives in the router process (fp_cache)
-    fp_cache = getattr(router, "fp_cache", None)
-    if fp_cache is not None:
-        out.extend(cache_samples(fp_cache.stats(), None, {"scope": "frontend"}))
+    # the payload tier and fingerprint memo live in the router process
+    out.extend(cache_samples(router.request_cache.stats(), None, {"scope": "frontend"}))
     deep = doc.get("worker_stats") or []
     if deep:
         stats_sum: dict = {}
@@ -388,11 +386,18 @@ def router_samples(router, include_workers: bool = True):
     return out
 
 
-def serving_samples(engine=None, health=None, feedback=None):
-    """The single-process front end's scrape set."""
+def serving_samples(engine=None, health=None, feedback=None, router=None):
+    """The HTTP front end's scrape set.
+
+    The scoring backend comes as an in-process ``engine`` or as a worker
+    ``router``; the front end says which, so this module never imports
+    :mod:`repro.serve`.
+    """
     out: list[Sample] = []
     if engine is not None:
         out.extend(engine_samples(engine.describe()))
+    if router is not None:
+        out.extend(router_samples(router))
     if health is not None:
         out.extend(health_samples(health))
     if feedback is not None:

@@ -7,7 +7,7 @@ taxonomy (DESIGN.md §15) names where a request can spend time:
 stage                  measured where
 =====================  =============================================
 ``http.decode``        front end — JSON parse + graph reconstruction
-``queue.wait``         front end executor hop / engine shard queue
+``queue.wait``         engine — submit → popped by a shard thread
 ``cache.lookup``       engine — fingerprints + prediction-cache probe
 ``router.dispatch``    router — fingerprint, route, send frames
 ``wire.roundtrip``     router — dispatch done → every reply gathered
@@ -29,7 +29,7 @@ inside some top-level span, excluded from the tiling sum.
 Every span also feeds the ``repro_stage_seconds{stage=...}`` histogram,
 so aggregate attribution exists even for untraced traffic; traces add
 the per-request view.  Propagation: ``X-Request-Id``/``X-Trace-Id``
-HTTP headers in and out of both front ends, and an optional ``trace``
+HTTP headers in and out of the front end, and an optional ``trace``
 field in the router→worker pickle frames (absent when untraced, so old
 workers and new routers interoperate either way).
 
@@ -53,7 +53,6 @@ from repro.obs import clock, metrics
 __all__ = [
     "Span",
     "Trace",
-    "activate",
     "clear_recent",
     "current",
     "finish",
@@ -186,31 +185,12 @@ def clear_recent() -> None:
     _RECENT.clear()
 
 
-@contextlib.contextmanager
-def activate(trace: Trace | None):
-    """Make ``trace`` current for the block without finishing it.
-
-    The executor-hop helper: ``contextvars`` do not propagate through
-    ``loop.run_in_executor``, so the async front end creates the trace
-    on the event loop and re-activates it inside the worker thread.
-    ``activate(None)`` is a no-op so call sites stay unconditional.
-    """
-    if trace is None:
-        yield None
-        return
-    token = _CURRENT.set(trace)
-    try:
-        yield trace
-    finally:
-        _CURRENT.reset(token)
-
-
 def push(trace: Trace | None):
     """Make ``trace`` current; returns a token for :func:`pop` (None-safe).
 
-    The begin/finish counterpart to :func:`activate` for call sites that
-    cannot wrap the request in a ``with`` block (the stdlib HTTP handler
-    methods).  ``push(None)`` returns ``None`` and changes nothing.
+    For call sites that cannot wrap the request in a ``with`` block (the
+    stdlib HTTP handler methods).  ``push(None)`` returns ``None`` and
+    changes nothing.
     """
     if trace is None:
         return None

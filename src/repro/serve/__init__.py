@@ -12,12 +12,12 @@ optimization time*; this package is that serving surface (DESIGN.md §9):
   caches (:class:`PreparedRequestCache`, :class:`PredictionCache`);
 * :class:`AdvisorService` — multi-client ``suggest_placement`` sessions
   scoring every placement alternative in one micro-batch;
-* :mod:`repro.serve.http` — a stdlib JSON front end over all of it;
 * :class:`WorkerRouter` / :mod:`repro.serve.worker` — N worker
   *processes* behind a fingerprint-affinity consistent-hash router with
-  epoch-fenced promotion and supervisor respawn (DESIGN.md §14), fronted
-  by :class:`AsyncServingServer`, an asyncio HTTP/1.1 server that holds
-  thousands of connections;
+  epoch-fenced promotion and supervisor respawn (DESIGN.md §14), a
+  drop-in scoring backend for :class:`ShardedEngine`;
+* :mod:`repro.serve.http` — the stdlib JSON front end over all of it,
+  whichever backend the :class:`AdvisorService` wraps;
 * :mod:`repro.serve.resilience` / :mod:`repro.serve.faults` — deadlines,
   circuit breaker, degraded fallback, health states, and the
   deterministic fault-injection registry behind the chaos harness
@@ -53,7 +53,6 @@ from repro.serve.engine import (
 )
 from repro.serve.faults import FaultInjector, InjectedFault, WorkerCrash
 from repro.serve.http import ServingServer, make_server
-from repro.serve.http_async import AsyncServingServer, make_async_server
 from repro.serve.registry import ModelRegistry, ModelVersion
 from repro.serve.resilience import (
     CircuitBreaker,
@@ -66,7 +65,6 @@ from repro.serve.worker import WorkerConfig
 __all__ = [
     "AdvisorService",
     "AdvisorSession",
-    "AsyncServingServer",
     "CircuitBreaker",
     "DegradedFallback",
     "EngineStats",
@@ -94,7 +92,6 @@ __all__ = [
     "feedback_record_to_json",
     "graph_from_json",
     "graph_to_json",
-    "make_async_server",
     "make_server",
     "payload_fingerprint",
     "query_from_json",

@@ -191,7 +191,6 @@ class AdvisorService:
         flat = [g for placement in order for g in graphs[placement]]
         degraded = False
         resilient = getattr(self.engine, "score_resilient", None)
-        scorer = getattr(self.engine, "score", None)
         try:
             if resilient is not None:
                 contexts = [
@@ -207,13 +206,6 @@ class AdvisorService:
                     raise err
                 values = outcome.values
                 degraded = outcome.degraded
-            elif scorer is not None:
-                contexts = [
-                    (placement.value, float(level))
-                    for placement in order
-                    for level in levels
-                ]
-                values = scorer(flat, contexts)
             else:
                 futures = self.engine.submit_many(flat)
                 values = [f.result() for f in futures]

@@ -15,6 +15,8 @@ payloads so the HTTP layer can map them to 400 responses.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.advisor.advisor import AdvisorDecision
@@ -51,21 +53,34 @@ def graph_from_json(payload: dict) -> JointGraph:
         features = payload["features"]
         edges = payload["edges"]
         root_id = int(payload["root_id"])
-    except (KeyError, TypeError, ValueError) as exc:
+        n_nodes = len(node_types)
+        n_features = len(features)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ServingError(f"malformed graph payload: {exc}") from exc
-    if len(node_types) != len(features):
+    if n_nodes != n_features:
         raise ServingError(
-            f"graph payload has {len(node_types)} node types but "
-            f"{len(features)} feature vectors"
+            f"graph payload has {n_nodes} node types but "
+            f"{n_features} feature vectors"
         )
+    if not 0 <= root_id < n_nodes:
+        raise ServingError(f"graph root_id {root_id} is not one of its {n_nodes} nodes")
     graph = JointGraph()
     try:
         for gtype, feats in zip(node_types, features):
             graph.add_node(gtype, np.asarray(feats, dtype=np.float64))
         for src, dst in edges:
             graph.add_edge(int(src), int(dst))
+        # node ids and feature values are checked in bulk, once per
+        # graph: a bad id would fail deep inside prepare, and a NaN or
+        # inf feature (json.loads reads 1e999 as inf) would score as NaN
+        ids = list(itertools.chain.from_iterable(graph.edges))
+        values = np.concatenate(graph.features)
     except Exception as exc:
         raise ServingError(f"malformed graph payload: {exc}") from exc
+    if ids and (min(ids) < 0 or max(ids) >= n_nodes):
+        raise ServingError(f"graph edge endpoint outside its {n_nodes} nodes")
+    if values.ndim != 1 or not np.isfinite(values).all():
+        raise ServingError("graph features must be flat lists of finite numbers")
     graph.root_id = root_id
     return graph
 
@@ -200,11 +215,27 @@ def query_from_json(payload: dict) -> Query:
             agg=agg_spec,
             query_id=int(payload.get("query_id", 0)),
         )
+        query.validate()
     except ServingError:
         raise
     except Exception as exc:
         raise ServingError(f"malformed query payload: {exc}") from exc
     return query
+
+
+def selectivity_from_json(value) -> float | None:
+    """An optional ``true_selectivity``: absent, or a fraction in [0, 1]."""
+    if value is None:
+        return None
+    try:
+        selectivity = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ServingError(f"invalid true_selectivity {value!r}") from exc
+    if not 0.0 <= selectivity <= 1.0:  # NaN fails both comparisons
+        raise ServingError(
+            f"true_selectivity must be a number in [0, 1], got {value!r}"
+        )
+    return selectivity
 
 
 # -- decisions ---------------------------------------------------------

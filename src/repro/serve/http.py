@@ -20,7 +20,13 @@ handled on its own thread, so concurrent clients' ``/predict`` and
 ``/advise`` calls meet inside the micro-batching engine and share joint
 forward passes — the serving win needs no async framework.
 
-When the engine carries a :class:`~repro.serve.cache
+The scoring backend is whatever the :class:`AdvisorService` wraps: an
+in-process :class:`~repro.serve.engine.ShardedEngine`, or a
+:class:`~repro.serve.router.WorkerRouter` over worker processes
+(DESIGN.md §14). Both answer ``score_resilient``/``describe``; only
+``/metrics`` and ``/healthz`` tell them apart.
+
+When the backend carries a :class:`~repro.serve.cache
 .PreparedRequestCache`, repeated ``/predict`` and ``/advise`` bodies are
 recognized by a fingerprint of the *raw request bytes* and skip JSON
 parsing and codec decoding entirely — and because the cache hands back
@@ -33,6 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -54,9 +61,11 @@ from repro.serve.codec import (
     feedback_record_from_json,
     graph_from_json,
     query_from_json,
+    selectivity_from_json,
 )
 from repro.serve.registry import ModelRegistry
 from repro.serve.resilience import HealthMonitor, deadline_from_ms
+from repro.serve.router import WorkerRouter
 
 logger = logging.getLogger("repro.serve")
 
@@ -126,10 +135,12 @@ class ServingServer(ThreadingHTTPServer):
         #: optional :class:`repro.feedback.FeedbackLoop`; surfaces drift
         #: and promotion state through /stats and keeps model_ref honest
         self.loop = loop
-        #: the /healthz state machine, wired to the engine's breaker and
-        #: (via the shard supervisor) its restart history
+        #: the /healthz state machine, wired to the engine's breaker, a
+        #: router's worker counts, and (via the shard or worker
+        #: supervisor) the backend's restart history
         self.health = health or HealthMonitor(
-            breaker=getattr(service.engine, "breaker", None)
+            breaker=getattr(service.engine, "breaker", None),
+            workers=getattr(service.engine, "worker_counts", None),
         )
         if getattr(service.engine, "health", "missing") is None:
             service.engine.health = self.health
@@ -138,22 +149,25 @@ class ServingServer(ThreadingHTTPServer):
         self.request_seq = itertools.count(1)
         self.health.mark_ready()
 
-    def drain(self) -> None:
-        """Stop accepting requests, drain the engine, flush feedback.
+    def drain(self) -> int:
+        """Stop accepting requests, drain the backend, flush feedback.
 
         The health state flips to ``draining`` first (new requests get a
         clean 503 instead of racing the shutdown), then in-flight work
         drains; the feedback log buffers appends in memory (its flusher
         spills chunks in the background), so the SIGTERM/ctrl-c path
         must force a final synchronous flush or the tail of observed
-        runtimes dies with the process.
+        runtimes dies with the process. Returns the number of worker
+        processes that ignored their shutdown and had to be killed
+        (always 0 for an in-process engine).
         """
         self.health.mark_draining()
         self.shutdown()
-        self.engine.close()
+        hung = self.engine.close()
         feedback = self.service.feedback
         if feedback is not None:
             feedback.flush()
+        return hung or 0
 
     def cache_section(self) -> dict:
         """Per-tier cache counters for the /stats ``caches`` section."""
@@ -167,12 +181,13 @@ class ServingServer(ThreadingHTTPServer):
         return caches
 
     def render_metrics(self) -> str:
-        """Prometheus text: live registry + scrape-time engine samples."""
+        """Prometheus text: live registry + scrape-time backend samples."""
+        backend = "router" if isinstance(self.engine, WorkerRouter) else "engine"
         return metrics.render(
             export.serving_samples(
-                engine=self.engine,
                 health=self.health,
                 feedback=self.service.feedback,
+                **{backend: self.engine},
             )
         )
 
@@ -303,13 +318,17 @@ class ServingHandler(BaseHTTPRequestHandler):
                 budget = float(header)
             except ValueError as exc:
                 raise ServingError(f"invalid X-Deadline-Ms {header!r}") from exc
-            if budget <= 0:
-                raise ServingError("X-Deadline-Ms must be > 0")
+            if not (math.isfinite(budget) and budget > 0):
+                raise ServingError("X-Deadline-Ms must be a finite number > 0")
             return deadline_from_ms(budget)
         return deadline_from_ms(default_deadline_ms())
 
     def _read_raw(self) -> bytes:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        header = self.headers.get("Content-Length", 0) or 0
+        try:
+            length = int(header)
+        except ValueError as exc:
+            raise ServingError(f"invalid Content-Length {header!r}") from exc
         if length <= 0:
             raise ServingError("request body required")
         if length > MAX_BODY_BYTES:
@@ -320,7 +339,8 @@ class ServingHandler(BaseHTTPRequestHandler):
     def _parse(raw: bytes) -> dict:
         try:
             payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and non-UTF-8 bodies
             raise ServingError(f"invalid JSON body: {exc}") from exc
         if not isinstance(payload, dict):
             raise ServingError("JSON body must be an object")
@@ -370,6 +390,8 @@ class ServingHandler(BaseHTTPRequestHandler):
             }
             if health.breaker is not None:
                 payload["breaker"] = health.breaker.state
+            if health.workers is not None:
+                payload["alive"], payload["workers"] = health.workers()
             # ready/degraded answer 200 (the service responds, possibly
             # at reduced fidelity); starting/draining answer 503 so load
             # balancers stop routing here
@@ -412,6 +434,18 @@ class ServingHandler(BaseHTTPRequestHandler):
             self._route_post()
         finally:
             self._finish()
+
+    def _reject_method(self) -> None:
+        self._begin()
+        try:
+            self._send_error_json(
+                405, "method_not_allowed", f"unsupported method {self.command}"
+            )
+        finally:
+            self._finish()
+
+    # without these the stdlib answers its own 501 HTML page
+    do_PUT = do_DELETE = do_PATCH = _reject_method
 
     def _route_post(self) -> None:
         try:
@@ -510,16 +544,13 @@ class ServingHandler(BaseHTTPRequestHandler):
                 if not isinstance(raw_query, dict):
                     raise ServingError('"query" must be an object')
                 query = query_from_json(raw_query)
-                true_selectivity = payload.get("true_selectivity")
-                if true_selectivity is not None:
-                    try:
-                        true_selectivity = float(true_selectivity)
-                    except (TypeError, ValueError) as exc:
-                        raise ServingError(
-                            f"invalid true_selectivity {true_selectivity!r}"
-                        ) from exc
+                true_selectivity = selectivity_from_json(
+                    payload.get("true_selectivity")
+                )
                 client = str(payload.get("client", "anonymous"))
                 strategy = payload.get("strategy")
+                if strategy is not None and not isinstance(strategy, str):
+                    raise ServingError('"strategy" must be a string')
                 parsed = (query, true_selectivity, client, strategy)
                 if remember is not None:
                     remember(parsed)
@@ -545,14 +576,7 @@ class ServingHandler(BaseHTTPRequestHandler):
                     'feedback with "decision_id" needs a numeric "observed" '
                     f"runtime: {exc}"
                 ) from exc
-            true_selectivity = payload.get("true_selectivity")
-            if true_selectivity is not None:
-                try:
-                    true_selectivity = float(true_selectivity)
-                except (TypeError, ValueError) as exc:
-                    raise ServingError(
-                        f"invalid true_selectivity {true_selectivity!r}"
-                    ) from exc
+            true_selectivity = selectivity_from_json(payload.get("true_selectivity"))
             record = service.record_runtime(
                 str(payload["decision_id"]),
                 observed,

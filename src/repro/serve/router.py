@@ -39,7 +39,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.exceptions import (
     DeadlineExceeded,
@@ -313,9 +313,12 @@ class WorkerRouter:
         self._ctx = multiprocessing.get_context("spawn")
         self._promote_lock = threading.Lock()
         self._closing = False
-        # fingerprint memo shared with nothing else: the router only
-        # uses the fingerprints() section of the cache
-        self.fp_cache = PreparedRequestCache()
+        # the router only uses the fingerprint memo and, behind the HTTP
+        # front end, the payload tier (same name as ShardedEngine's)
+        self.request_cache = PreparedRequestCache()
+        #: optional HealthMonitor notified on worker respawns (wired by
+        #: the HTTP layer, exactly like ShardedEngine's shard restarts)
+        self.health = None
         self._supervisor: threading.Thread | None = None
         self._handles: list[_WorkerHandle | None] = [None] * workers
         try:
@@ -395,6 +398,8 @@ class WorkerRouter:
         )
         self._handles[worker_id] = handle
         self.stats.respawns += 1
+        if self.health is not None:
+            self.health.note_restart()
         return handle
 
     def _supervise(self) -> None:
@@ -577,7 +582,7 @@ class WorkerRouter:
         if n == 0:
             return RouterOutcome(values, statuses, errors, epochs, workers)
         dispatch_started = clock.monotonic()
-        fps = self.fp_cache.fingerprints(graphs)
+        fps = self.request_cache.fingerprints(graphs)
         deadline_ms = (
             max((deadline - clock.monotonic()) * 1e3, 0.0)
             if deadline is not None
@@ -771,10 +776,15 @@ class WorkerRouter:
     def queue_depth(self) -> int:
         return sum(h.outstanding for h in self._handles if h is not None)
 
+    def worker_counts(self) -> tuple[int, int]:
+        """``(alive, total)`` worker processes: the health probe."""
+        return len(self._alive_handles()), self.n_workers
+
     def describe(self, include_workers: bool = False) -> dict:
+        alive, total = self.worker_counts()
         info = {
-            "workers": self.n_workers,
-            "alive": len(self._alive_handles()),
+            "workers": total,
+            "alive": alive,
             "epoch": self._epoch,
             "model": f"{self.model_name}@v{self.model_version}",
             "outstanding": self.queue_depth(),

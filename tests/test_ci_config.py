@@ -82,7 +82,8 @@ def test_lint_format_scope_covers_grown_trees(workflow):
     its chaos suite (PR 6), the execution backends and their test suites
     (PR 7), the multi-process serving tier and the loadtest perf suite
     (PR 8), the observability layer and its suites (PR 9), the
-    distributed runner and its suites (PR 10)."""
+    distributed runner and its suites (PR 10), the HTTP contract suite
+    over both scoring backends."""
     runs = job_run_lines(workflow["jobs"]["lint"])
     format_step = next(
         (
@@ -115,6 +116,7 @@ def test_lint_format_scope_covers_grown_trees(workflow):
         "src/repro/eval/parallel.py",
         "tests/test_runner.py",
         "benchmarks/test_perf_runner.py",
+        "tests/test_http_contract.py",
     ):
         assert target in scope, f"ruff format scope lost {target}"
         assert (ROOT / target).exists()
@@ -195,6 +197,22 @@ def test_bench_smoke_runs_multiproc_smoke(workflow):
     assert "BENCH_multiproc_smoke.json" in (ROOT / ".gitignore").read_text()
     script = (ROOT / "scripts" / "bench_compare.py").read_text()
     assert "multiproc_smoke" in script
+
+
+def test_bench_smoke_runs_benchmark_harness_smoke(workflow):
+    """The benchmark harness smoke must run in CI: it is the only step
+    that notices a src/ change breaking a name or /stats key the
+    BENCHMARK.json workloads read, and it must run the script as a
+    plain step (its exit status fails the job)."""
+    job = workflow["jobs"]["bench-smoke"]
+    steps = [
+        step
+        for step in job["steps"]
+        if "perfbench/check_smoke.py" in str(step.get("run", ""))
+    ]
+    assert steps, "bench-smoke must run perfbench/check_smoke.py"
+    assert steps[0]["run"].strip() == "python3 perfbench/check_smoke.py"
+    assert (ROOT / "perfbench" / "check_smoke.py").exists()
 
 
 def test_bench_smoke_runs_runner_smoke(workflow):

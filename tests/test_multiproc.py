@@ -5,8 +5,9 @@ isolation, cross-process registry safety (O_EXCL version claims,
 quarantine-and-skip under concurrent loaders), the fingerprint-affinity
 router (parity, affinity, wire dedup, spill, crash recovery), the
 promotion fence — no worker may ever serve a predecessor-epoch cached
-prediction, the ISSUE acceptance pin — and the asyncio HTTP front end's
-structured-error contracts.
+prediction, the ISSUE acceptance pin — and ``scripts/serve.py
+--workers 2`` end to end. The HTTP contract over a router backend lives
+in ``tests/test_http_contract.py``.
 
 Worker processes are spawned for real (``multiprocessing`` spawn
 context), so router fixtures are module-scoped to amortize the cost;
@@ -20,22 +21,19 @@ import multiprocessing
 import socket
 import threading
 import time
-import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
 
+from repro.advisor import PullUpAdvisor
+from repro.bench import build_dataset_benchmark
 from repro.core import encoding as enc
 from repro.core.joint_graph import JointGraph
 from repro.exceptions import ServingError
+from repro.feedback import FeedbackLog
 from repro.model import CostGNN, GNNConfig, predict_runtimes
-from repro.serve import (
-    ModelRegistry,
-    WorkerRouter,
-    graph_to_json,
-    make_async_server,
-)
+from repro.serve import ModelRegistry, WorkerRouter, query_to_json
 from repro.serve.worker import (
     MAX_FRAME_BYTES,
     ServingWorker,
@@ -44,6 +42,8 @@ from repro.serve.worker import (
     recv_frame,
     send_frame,
 )
+from tests.test_http_contract import placeable_query
+from tests.test_serving import _load_serve_script
 
 SPAWN = multiprocessing.get_context("spawn")
 
@@ -281,7 +281,7 @@ class TestWorkerRouter:
     def test_repeats_travel_as_fingerprints_only(self, router):
         graphs = synthetic_graphs(8, seed=23)
         router.score(graphs)
-        fps = router.fp_cache.fingerprints(graphs)
+        fps = router.request_cache.fingerprints(graphs)
         known = [
             h
             for h in router._handles
@@ -298,7 +298,7 @@ class TestWorkerRouter:
         re-sends the full graph — values still come back correct."""
         _, model = mp_setup
         graphs = synthetic_graphs(4, seed=24)
-        fps = router.fp_cache.fingerprints(graphs)
+        fps = router.request_cache.fingerprints(graphs)
         before = router.stats.unknown_resends
         for handle in router._handles:
             handle.mark_known(fps)  # a lie: the workers never saw these
@@ -308,7 +308,7 @@ class TestWorkerRouter:
 
     def test_spill_moves_load_off_a_hot_owner(self, router):
         graphs = synthetic_graphs(16, seed=25)
-        fps = router.fp_cache.fingerprints(graphs)
+        fps = router.request_cache.fingerprints(graphs)
         alive_ids = {h.worker_id for h in router._alive_handles()}
         owner = router._owner(fps[0], alive_ids)
         hot = router._handles[owner]
@@ -420,87 +420,46 @@ class TestPromotionFencing:
 
 
 # ======================================================================
-# asyncio HTTP front end
+# scripts/serve.py --workers N: the one front end over the router
 # ======================================================================
-class TestAsyncHTTP:
-    @pytest.fixture(scope="class")
-    def server(self, mp_setup):
-        root, _ = mp_setup
-        router = WorkerRouter(root, "mp", workers=2, heartbeat_interval_s=0.25)
-        server = make_async_server(router, port=0, model_ref="mp@v1")
+def _post_json(url: str, payload: dict) -> dict:
+    request = urllib.request.Request(url, data=json.dumps(payload).encode())
+    with urllib.request.urlopen(request, timeout=60) as response:
+        return json.loads(response.read())
+
+
+class TestServeScriptWorkers:
+    def test_advise_and_feedback_round_trip_then_clean_drain(self, mp_setup, tmp_path):
+        root, model = mp_setup
+        serve_script = _load_serve_script()
+        args = serve_script.parse_args(
+            ["--workers", "2", "--registry-dir", root, "--model", "mp"]
+            + ["--dataset", "imdb", "--queries", "6", "--port", "0"]
+        )
+        server, _, version = serve_script.build_service(args)
+        assert isinstance(server.engine, WorkerRouter)
+        assert version.ref == "mp@v1"
+        # the script attaches no feedback log; /feedback records into
+        # whichever log the service holds
+        feedback = FeedbackLog(tmp_path / "feedback")
+        server.service.feedback = feedback
         server.serve_in_background()
-        yield server
-        server.drain()
-        router.close()
-
-    def _post(self, url: str, payload, headers: dict | None = None):
-        if not isinstance(payload, bytes):
-            payload = json.dumps(payload).encode()
-        request = urllib.request.Request(
-            url,
-            data=payload,
-            headers={"Content-Type": "application/json", **(headers or {})},
-        )
-        with urllib.request.urlopen(request, timeout=30) as response:
-            return response.status, json.loads(response.read())
-
-    def test_predict_roundtrip_parity(self, server, mp_setup):
-        _, model = mp_setup
-        graphs = synthetic_graphs(6, seed=41)
-        status, body = self._post(
-            f"{server.url}/predict",
-            {"graphs": [graph_to_json(g) for g in graphs]},
-        )
-        assert status == 200
-        assert np.allclose(
-            body["runtimes"], predict_runtimes(model, graphs), rtol=1e-9
-        )
-        # same shape as the sync tier: "degraded" appears only when true
-        assert body.get("degraded", False) is False
-
-    def test_healthz_reports_ready_with_worker_counts(self, server):
-        with urllib.request.urlopen(f"{server.url}/healthz", timeout=30) as r:
-            body = json.loads(r.read())
-            assert r.status == 200
-        assert body["status"] == "ready"
-        assert body["workers"] == 2 and body["alive"] == 2
-
-    def test_stats_exposes_router_and_http_sections(self, server):
-        with urllib.request.urlopen(f"{server.url}/stats", timeout=30) as r:
-            body = json.loads(r.read())
-        assert body["workers"] == 2
-        assert "dispatched" in body["stats"]
-        assert body["http"]["state"] == "ready"
-
-    def test_malformed_json_is_structured_400(self, server):
-        with pytest.raises(urllib.error.HTTPError) as info:
-            self._post(f"{server.url}/predict", b"{not json")
-        assert info.value.code == 400
-        body = json.loads(info.value.read())
-        assert body["error"]["code"] == "bad_request"
-
-    def test_blown_deadline_is_structured_504(self, server):
-        graphs = synthetic_graphs(2, seed=42)
-        with pytest.raises(urllib.error.HTTPError) as info:
-            self._post(
-                f"{server.url}/predict",
-                {"graphs": [graph_to_json(g) for g in graphs]},
-                headers={"X-Deadline-Ms": "0.000001"},
+        try:
+            bench = build_dataset_benchmark("imdb", n_queries=6, seed=args.seed)
+            query = placeable_query(bench)
+            request = {"query": query_to_json(query)}
+            decision = _post_json(f"{server.url}/advise", request)
+            offline = PullUpAdvisor(
+                model=model,
+                catalog=server.service.catalog,
+                estimator=server.service.estimator,
             )
-        assert info.value.code == 504
-        body = json.loads(info.value.read())
-        assert body["error"]["code"] == "deadline_exceeded"
-
-    def test_unknown_route_and_method_contracts(self, server):
-        with pytest.raises(urllib.error.HTTPError) as info:
-            urllib.request.urlopen(f"{server.url}/nope", timeout=30)
-        assert info.value.code == 404
-        with pytest.raises(urllib.error.HTTPError) as info:
-            self._post(f"{server.url}/healthz", {})  # POST to a GET path
-        assert info.value.code == 404
-        request = urllib.request.Request(
-            f"{server.url}/predict", data=b"{}", method="DELETE"
-        )
-        with pytest.raises(urllib.error.HTTPError) as info:
-            urllib.request.urlopen(request, timeout=30)
-        assert info.value.code == 405
+            assert decision["pull_up"] == offline.decide(query).pull_up
+            report = {"decision_id": decision["decision_id"], "observed": 2.5}
+            accepted = _post_json(f"{server.url}/feedback", report)
+            assert accepted["accepted"] == 1
+        finally:
+            hung = server.drain()
+            feedback.close()
+        assert hung == 0
+        assert feedback.appended == 1

@@ -4,11 +4,12 @@ Covers the PR-9 stack bottom-up: the metrics registry (bucket math
 pinned to Prometheus ``le`` semantics, per-thread shard merging, the
 ``REPRO_OBS`` gate), the exposition encoder against a minimal
 Prometheus-text parser, tracing (span taxonomy, nested exclusion,
-sampling and the slow-request log), engine/worker/router span wiring —
-including the pin that a trace survives the router→worker frame
-round-trip through one-shot graph resend *and* retry-on-peer — and
-both HTTP front ends' ``/metrics``, ``X-Request-Id`` echo, and the
-span-breakdown-sums-to-e2e acceptance gate.
+sampling and the slow-request log), and engine/worker/router span
+wiring — including the pin that a trace survives the router→worker
+frame round-trip through one-shot graph resend *and* retry-on-peer.
+The HTTP front end's ``/metrics``, ``X-Request-Id`` echo, and the
+span-breakdown-sums-to-e2e acceptance gate are pinned over both scoring
+backends in ``tests/test_http_contract.py``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import multiprocessing
 import re
 import threading
 import time
-import urllib.error
-import urllib.request
 
 import numpy as np
 import pytest
@@ -31,7 +30,6 @@ from repro.core.joint_graph import JointGraph
 from repro.model import CostGNN, GNNConfig
 from repro.obs import clock, export, metrics, tracing
 from repro.serve import (
-    AdvisorService,
     CircuitBreaker,
     DegradedFallback,
     ModelRegistry,
@@ -39,9 +37,6 @@ from repro.serve import (
     PreparedRequestCache,
     ShardedEngine,
     WorkerRouter,
-    graph_to_json,
-    make_async_server,
-    make_server,
 )
 from repro.serve.worker import ServingWorker, WorkerConfig
 
@@ -72,27 +67,9 @@ def _make_model(seed: int = 1) -> CostGNN:
     return model
 
 
-def wait_for_trace(trace_id: str, timeout_s: float = 2.0) -> tracing.Trace:
-    """The finished trace with ``trace_id``, polling briefly.
-
-    Both front ends flush the response bytes before their finally/post
-    hooks call :func:`tracing.finish`, so a client can observe the reply
-    a beat before the trace reaches the recent ring.
-    """
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        found = [
-            t for t in tracing.recent_traces(64) if t.trace_id == trace_id
-        ]
-        if found:
-            return found[-1]
-        time.sleep(0.005)
-    raise AssertionError(f"trace {trace_id!r} never finished")
-
-
 # ======================================================================
 # a minimal Prometheus text-format 0.0.4 parser — the exposition
-# contract both front ends' /metrics must satisfy
+# contract the front end's /metrics must satisfy
 # ======================================================================
 
 _SAMPLE_RE = re.compile(
@@ -587,7 +564,7 @@ class TestRouterTrace:
         new one."""
         _, model = mp_setup
         graphs = synthetic_graphs(4, seed=10)
-        fps = router.fp_cache.fingerprints(graphs)
+        fps = router.request_cache.fingerprints(graphs)
         for handle in router._handles:
             handle.mark_known(fps)  # a lie: the workers never saw these
         before = router.stats.unknown_resends
@@ -608,7 +585,19 @@ class TestRouterTrace:
         ) as own:
             graphs = synthetic_graphs(8, seed=11)
             own.score(graphs)  # warm
-            own._handles[0].client.request({"op": "crash"})
+            victim = own._handles[0]
+            send_group = own._send_group
+
+            def crash_then_send(handle, *args):
+                # the crash frame precedes the score frame on the same
+                # socket, so the worker dies with the score in flight;
+                # crashing it before routing raced the router seeing the
+                # EOF and routing around the dead worker (no retry)
+                if handle is victim:
+                    handle.client.request({"op": "crash"})
+                return send_group(handle, *args)
+
+            own._send_group = crash_then_send
             before = own.stats.retries
             with tracing.trace_request(trace_id="tid-retry") as trace:
                 outcome = own.score_resilient(graphs)
@@ -633,190 +622,3 @@ class TestRouterTrace:
         }
         assert set(decisions) == {"affinity", "spill"}
         assert decisions["affinity"] == router.stats.affinity
-
-
-# ======================================================================
-# HTTP front ends
-# ======================================================================
-class TestSyncFrontEnd:
-    @pytest.fixture(scope="class")
-    def server(self):
-        engine = ShardedEngine(
-            _make_model(),
-            shards=1,
-            max_batch_size=16,
-            request_cache=PreparedRequestCache(),
-            prediction_cache=PredictionCache(),
-        )
-        service = AdvisorService(engine, catalog=None, estimator=None)
-        server = make_server(service)
-        server.serve_in_background()
-        yield server
-        server.drain()
-
-    def _get(self, url: str):
-        with urllib.request.urlopen(url, timeout=30) as response:
-            return response.status, dict(response.headers), response.read()
-
-    def test_metrics_exposition_parses(self, server):
-        graphs = synthetic_graphs(2, seed=20)
-        body = json.dumps(
-            {"graphs": [graph_to_json(g) for g in graphs]}
-        ).encode()
-        urllib.request.urlopen(
-            urllib.request.Request(server.url + "/predict", data=body),
-            timeout=30,
-        ).read()
-        status, headers, raw = self._get(server.url + "/metrics")
-        assert status == 200
-        assert headers["Content-Type"].startswith("text/plain")
-        assert "version=0.0.4" in headers["Content-Type"]
-        samples, types = parse_prometheus(raw.decode())
-        assert_histograms_coherent(samples, types)
-        assert types["repro_http_requests_total"] == "counter"
-        assert types["repro_http_request_seconds"] == "histogram"
-        assert types["repro_cache_events_total"] == "counter"
-        assert types["repro_engine_requests_total"] == "counter"
-        routes = {
-            (lab["route"], lab["status"])
-            for lab, _ in samples["repro_http_requests_total"]
-        }
-        assert ("/predict", "200") in routes
-
-    def test_request_id_echo_and_generation(self, server):
-        _, headers, _ = self._get(server.url + "/healthz")
-        assert headers["X-Request-Id"]  # generated when absent
-        request = urllib.request.Request(
-            server.url + "/healthz", headers={"X-Request-Id": "rid-echo"}
-        )
-        with urllib.request.urlopen(request, timeout=30) as response:
-            assert response.headers["X-Request-Id"] == "rid-echo"
-
-    def test_error_body_carries_request_id(self, server):
-        request = urllib.request.Request(
-            server.url + "/predict",
-            data=b"{}",
-            headers={"X-Request-Id": "rid-err"},
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=30)
-        err = excinfo.value
-        assert err.code == 400
-        assert err.headers["X-Request-Id"] == "rid-err"
-        doc = json.loads(err.read())
-        assert doc["error"]["request_id"] == "rid-err"
-        assert doc["error"]["code"] == "bad_request"
-
-    def test_stats_has_cache_section(self, server):
-        _, _, raw = self._get(server.url + "/stats")
-        stats = json.loads(raw)
-        caches = stats["caches"]
-        assert "prepared_hits" in caches["request"]
-        assert "hit_rate" in caches["prediction"]
-
-    def test_client_trace_id_adopted_and_spans_recorded(self, server):
-        graphs = synthetic_graphs(2, seed=21)
-        body = json.dumps(
-            {"graphs": [graph_to_json(g) for g in graphs]}
-        ).encode()
-        request = urllib.request.Request(
-            server.url + "/predict",
-            data=body,
-            headers={"X-Trace-Id": "tid-sync"},
-        )
-        with urllib.request.urlopen(request, timeout=30) as response:
-            assert response.headers["X-Trace-Id"] == "tid-sync"
-        stages = wait_for_trace("tid-sync").breakdown()
-        assert "http.decode" in stages
-        assert "engine.wait" in stages
-
-
-class TestAsyncFrontEnd:
-    @pytest.fixture(scope="class")
-    def server(self, mp_setup):
-        root, _ = mp_setup
-        router = WorkerRouter(root, "mp", workers=2, heartbeat_interval_s=0.25)
-        server = make_async_server(router, port=0, model_ref="mp@v1")
-        server.serve_in_background()
-        yield server
-        server.drain()
-        router.close()
-
-    def _predict(self, server, graphs, headers=None):
-        body = json.dumps(
-            {"graphs": [graph_to_json(g) for g in graphs]}
-        ).encode()
-        request = urllib.request.Request(
-            server.url + "/predict", data=body, headers=headers or {}
-        )
-        with urllib.request.urlopen(request, timeout=30) as response:
-            doc = json.loads(response.read())
-            return response.status, dict(response.headers), doc
-
-    def test_metrics_exposition_parses(self, server):
-        graphs = synthetic_graphs(3, seed=30)
-        self._predict(server, graphs)
-        with urllib.request.urlopen(server.url + "/metrics", timeout=30) as r:
-            assert r.status == 200
-            assert r.headers["Content-Type"].startswith("text/plain")
-            text = r.read().decode()
-        samples, types = parse_prometheus(text)
-        assert_histograms_coherent(samples, types)
-        assert types["repro_router_decisions_total"] == "counter"
-        assert "repro_router_workers" in samples
-        assert samples["repro_router_workers"][0][1] == 2.0
-        # worker-side engines aggregate under scope="workers"
-        scoped = {
-            lab.get("scope")
-            for lab, _ in samples.get("repro_engine_requests_total", [])
-        }
-        assert "workers" in scoped
-        # frontend payload tier rides with scope="frontend"
-        fe = {
-            lab.get("scope")
-            for lab, _ in samples.get("repro_cache_events_total", [])
-        }
-        assert "frontend" in fe
-
-    def test_request_id_and_error_body(self, server):
-        request = urllib.request.Request(
-            server.url + "/predict",
-            data=b"not json",
-            headers={"X-Request-Id": "rid-async"},
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=30)
-        err = excinfo.value
-        assert err.code == 400
-        assert err.headers["X-Request-Id"] == "rid-async"
-        doc = json.loads(err.read())
-        assert doc["error"]["request_id"] == "rid-async"
-
-    def test_traced_request_span_breakdown_sums_to_e2e(self, server):
-        """The acceptance gate: a traced request through the two-worker
-        tier yields top-level spans that tile its end-to-end latency
-        within 10% (plus a millisecond of grace for scheduling floors on
-        a busy CI host)."""
-        graphs = synthetic_graphs(4, seed=31)
-        self._predict(server, graphs)  # warm: caches, executor threads
-        status, headers, _ = self._predict(
-            server, graphs, headers={"X-Trace-Id": "tid-async"}
-        )
-        assert status == 200
-        assert headers["X-Trace-Id"] == "tid-async"
-        trace = wait_for_trace("tid-async")
-        stages = trace.breakdown()
-        assert "queue.wait" in stages  # the executor hop
-        assert "http.decode" in stages
-        assert "router.dispatch" in stages
-        assert "wire.roundtrip" in stages
-        assert "worker.engine" in stages  # nested, from the reply frame
-        total = trace.total_seconds()
-        covered = trace.top_level_seconds()
-        assert covered <= total + 1e-6
-        assert covered >= 0.9 * total - 1e-3, (
-            f"top-level spans cover {covered * 1e3:.2f}ms of "
-            f"{total * 1e3:.2f}ms e2e"
-        )
-        # the worker echoed the client's trace id across the pickle frame
-        assert trace.tags["worker.trace_id"] == "tid-async"
