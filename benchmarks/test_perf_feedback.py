@@ -27,8 +27,8 @@ import pytest
 from repro.bench.builder import build_dataset_benchmark
 from repro.feedback import DriftConfig, DriftMonitor, FeedbackLog, FeedbackRecord
 from repro.feedback.simulate import advisable_entries
-from repro.model import CostGNN, GNNConfig, PreparedGraphCache
-from repro.serve import AdvisorService, MicroBatchEngine
+from repro.model import CostGNN, GNNConfig
+from repro.serve import AdvisorService, ShardedEngine
 from repro.stats import ActualCardinalityEstimator, StatisticsCatalog
 from repro.storage import GeneratorConfig
 
@@ -92,9 +92,7 @@ def test_feedback_overhead(tmp_path):
     # minimum — wall-clock drift (thermal, background load, stray GC)
     # cancels instead of landing on one side of the comparison.
     log = FeedbackLog(tmp_path / "fb", capacity=2048, chunk_records=512)
-    with MicroBatchEngine(
-        model, max_batch_size=BATCH, cache=PreparedGraphCache()
-    ) as engine:
+    with ShardedEngine(model, shards=1, max_batch_size=BATCH) as engine:
         plain = AdvisorService(engine, catalog=catalog, estimator=estimator)
         collecting = AdvisorService(
             engine, catalog=catalog, estimator=estimator, feedback=log

@@ -16,10 +16,6 @@ view of the whole PR-5 fast path:
 * ``open_loop``   — paced arrivals below saturation: real latency
   percentiles without coordinated omission.
 
-``test_loadtest_multiproc`` adds the PR-8 multi-process tier: the same
-traffic against a 4-process :class:`~repro.serve.WorkerRouter`, with the
->=2x unique-traffic scaling gate applied on multi-core hosts.
-
 Every scenario also samples the engine's ``/stats`` snapshot *during*
 the run: the statistics surface takes no dispatch lock and must stay
 responsive at saturation.
@@ -166,83 +162,6 @@ def test_loadtest_fast_path():
         "target_rate"
     ]
     assert results["open_loop"]["p50_ms"] < results["repetitive"]["p50_ms"]
-
-
-def test_loadtest_multiproc():
-    """The multi-process tier (DESIGN.md §14) under the same traffic.
-
-    Drives a 4-process :class:`~repro.serve.WorkerRouter` with the exact
-    workload loop the single-process scenarios use and merges the rows
-    into ``BENCH_loadtest.json``. The ISSUE acceptance gate — aggregate
-    unique-traffic QPS >= 2x the single-process figure — only holds where
-    forwards can actually run in parallel, so it is asserted on hosts
-    with >= 4 cores and recorded (with ``cpu_count``) everywhere else.
-    """
-    lt = _load_loadtest_module()
-    workers = 4
-    traffic = dict(
-        duration_s=1.5,
-        concurrency=4,
-        submit_chunk=256,
-        max_batch_size=128,
-        templates=128,
-    )
-    unique = lt.LoadtestConfig(repeat_ratio=0.0, shards=4, **traffic)
-    single = lt.run_loadtest(unique)
-    multi_unique = lt.run_multiproc_loadtest(unique, workers)
-    repeat = lt.LoadtestConfig(repeat_ratio=0.9, shards=4, **traffic)
-    multi_repeat = lt.run_multiproc_loadtest(repeat, workers)
-
-    rows = {
-        "single_unique": single,
-        "multiproc_unique": multi_unique,
-        "multiproc_repetitive": multi_repeat,
-    }
-    scaling = multi_unique["achieved_qps"] / single["achieved_qps"]
-    doc = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
-    doc["multiproc"] = {
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "unique_qps_vs_single_process": scaling,
-        "notes": (
-            "worker processes sidestep the GIL, so unique (forward-bound) "
-            "traffic scales with cores; on single-core hosts the IPC hop "
-            "makes the router slower than in-process and only the "
-            "correctness signals are gated."
-        ),
-        "scenarios": rows,
-    }
-    BENCH_PATH.write_text(json.dumps(doc, indent=2) + "\n")
-
-    print()
-    print("=" * 78)
-    print(f"Multi-process tier: {workers} workers on {os.cpu_count()} core(s)")
-    print("=" * 78)
-    for name, r in rows.items():
-        print(
-            f"  {name:20s}: {r['achieved_qps']:8,.0f} req/s  "
-            f"p50 {r['p50_ms']:7.2f}ms  p99 {r['p99_ms']:7.2f}ms  "
-            f"hit {r['prediction_cache_hit_rate']:.0%}"
-        )
-    print(f"  unique-traffic scaling vs single process: {scaling:.2f}x")
-
-    for name in ("multiproc_unique", "multiproc_repetitive"):
-        r = rows[name]
-        assert r["achieved_qps"] > 0, name
-        assert r["worker_crashes"] == 0, name
-        assert r["hung_workers"] == 0, name
-        assert 0 < r["p50_ms"] <= r["p95_ms"] <= r["p99_ms"], name
-
-    # fingerprint affinity keeps each worker's prediction cache hot for
-    # its template slice — repeats must actually hit across processes
-    assert multi_repeat["prediction_cache_hit_rate"] >= 0.5
-    assert multi_unique["prediction_cache_hit_rate"] == 0.0
-
-    if (os.cpu_count() or 1) >= 4:
-        # the ISSUE.md multi-core acceptance gate
-        assert scaling >= 2.0, (
-            f"4-worker unique traffic only {scaling:.2f}x single-process"
-        )
 
 
 def test_cache_hit_path_is_exact():

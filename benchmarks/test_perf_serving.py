@@ -24,8 +24,8 @@ import pytest
 
 from repro.core import encoding as enc
 from repro.core.joint_graph import JointGraph
-from repro.model import CostGNN, GNNConfig, PreparedGraphCache
-from repro.serve import MicroBatchEngine
+from repro.model import CostGNN, GNNConfig
+from repro.serve import MicroBatchEngine, PreparedRequestCache
 
 pytestmark = pytest.mark.perf
 
@@ -64,10 +64,10 @@ def test_serving_throughput():
     model = CostGNN(GNNConfig(hidden_dim=32))
     model.eval()
     graphs = synthetic_graphs(BATCH)
-    cache = PreparedGraphCache()
+    cache = PreparedRequestCache()
 
     # -- serial: one request at a time (batch never exceeds 1) ----------
-    with MicroBatchEngine(model, max_batch_size=1, cache=cache) as engine:
+    with MicroBatchEngine(model, max_batch_size=1, request_cache=cache) as engine:
         def serial():
             for graph in graphs:
                 engine.submit(graph).result()
@@ -77,7 +77,9 @@ def test_serving_throughput():
         serial_batches = engine.stats.batches
 
     # -- micro-batched: all 64 submitted concurrently -------------------
-    with MicroBatchEngine(model, max_batch_size=BATCH, cache=cache) as engine:
+    with MicroBatchEngine(
+        model, max_batch_size=BATCH, request_cache=cache
+    ) as engine:
         def batched():
             futures = engine.submit_many(graphs)
             for future in futures:

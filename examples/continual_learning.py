@@ -35,11 +35,10 @@ from repro.feedback import (
 from repro.model import (
     GNNConfig,
     GracefulModel,
-    PreparedGraphCache,
     TrainConfig,
     predict_runtimes,
 )
-from repro.serve import AdvisorService, MicroBatchEngine, ModelRegistry
+from repro.serve import AdvisorService, ModelRegistry, ShardedEngine
 from repro.stats import StatisticsCatalog, make_estimator
 from repro.storage import GeneratorConfig
 from repro.udf.generator import UDFGeneratorConfig
@@ -77,7 +76,7 @@ def main() -> None:
         registry = ModelRegistry(f"{tmp}/registry")
         version = registry.publish(f"costgnn-{DATASET}", graceful.model)
         log = FeedbackLog(f"{tmp}/feedback", capacity=512, chunk_records=64)
-        engine = MicroBatchEngine(graceful.model, cache=PreparedGraphCache())
+        engine = ShardedEngine(graceful.model, shards=1)
         service = build_service(engine, bench, log)
         print(f"serving {version.ref}")
 

@@ -23,8 +23,8 @@ from repro.eval import prepare_dataset_samples, training_placements
 from repro.model import GNNConfig, GracefulModel, TrainConfig
 from repro.serve import (
     AdvisorService,
-    MicroBatchEngine,
     ModelRegistry,
+    ShardedEngine,
     graph_to_json,
     make_server,
     query_to_json,
@@ -69,7 +69,7 @@ def main() -> None:
         print(f"published {version.ref} "
               f"(config {version.config_fingerprint[:8]}...)")
 
-        engine = MicroBatchEngine(graceful.model, max_batch_size=32)
+        engine = ShardedEngine(graceful.model, shards=1, max_batch_size=32)
         service = AdvisorService(
             engine,
             catalog=StatisticsCatalog(bench.database),

@@ -23,8 +23,8 @@ committed baselines (``git show HEAD:BENCH_x.json``). Metrics below the
 measurement noise floor — sub-millisecond timings, microsecond knobs
 under 1ms, sub-millisecond elapsed seconds — never gate: scheduler
 jitter on shared runners swamps them. Neither does the
-``multiproc_smoke`` artifact, whose QPS is a liveness signal on whatever
-machine ran it, not a perf trajectory.
+``runner_smoke`` artifact, whose timings are a liveness signal on
+whatever machine ran it, not a perf trajectory.
 
 Each run also appends one JSON line — commit, timestamp, and every
 directional metric of every ``BENCH_*.json`` — to ``bench_history.jsonl``
@@ -59,7 +59,7 @@ NOT_A_METRIC = (".config.", "stats_poll.samples", "trace.")
 
 #: benches whose numbers are liveness smoke signals, not a perf
 #: trajectory — warn, record in history, but never fail the run
-NEVER_GATE_BENCHES = ("multiproc_smoke", "runner_smoke")
+NEVER_GATE_BENCHES = ("runner_smoke",)
 
 
 def noise_floor(metric: str, baseline: float) -> bool:

@@ -36,8 +36,8 @@ from repro.feedback import (
     select_serving_version,
     serving_baseline,
 )
-from repro.model import GNNConfig, GracefulModel, PreparedGraphCache, TrainConfig
-from repro.serve import AdvisorService, MicroBatchEngine, ModelRegistry
+from repro.model import GNNConfig, GracefulModel, TrainConfig
+from repro.serve import AdvisorService, ModelRegistry, ShardedEngine
 from repro.stats import StatisticsCatalog, make_estimator
 
 
@@ -125,7 +125,7 @@ def main(argv: list[str] | None = None) -> None:
         baseline = 1.0
 
     log = FeedbackLog(args.feedback_dir)
-    engine = MicroBatchEngine(model, cache=PreparedGraphCache())
+    engine = ShardedEngine(model, shards=1)
     service = AdvisorService(
         engine,
         catalog=StatisticsCatalog(bench.database),

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import tempfile
 import threading
 import time
@@ -66,11 +65,9 @@ from repro.model import CostGNN, GNNConfig
 from repro.serve import (
     CircuitBreaker,
     DegradedFallback,
-    ModelRegistry,
     PredictionCache,
     PreparedRequestCache,
     ShardedEngine,
-    WorkerRouter,
     faults,
 )
 
@@ -179,12 +176,10 @@ def _percentiles_ms(latencies: list[float]) -> dict[str, float]:
 
 
 def _drive_traffic(config: LoadtestConfig, score, describe) -> dict:
-    """The scenario's traffic loop over any scoring backend.
+    """The scenario's traffic loop.
 
-    ``score(batch)`` is the blocking scoring call (in-process engine or
-    worker router) and ``describe()`` the /stats snapshot the sideband
-    poller samples. Shared by the single-process and multi-process
-    scenarios so they measure exactly the same workload.
+    ``score(batch)`` is the blocking scoring call and ``describe()`` the
+    /stats snapshot the sideband poller samples.
     """
     started = time.perf_counter()
     deadline = started + config.duration_s
@@ -333,68 +328,6 @@ def run_loadtest(config: LoadtestConfig) -> dict:
         "prepared_hits": request.get("prepared_hits", 0),
         "prepared_misses": request.get("prepared_misses", 0),
         "engine_stats": description["stats"],
-    }
-
-
-def run_multiproc_loadtest(config: LoadtestConfig, workers: int) -> dict:
-    """One scenario against a :class:`WorkerRouter` of worker processes.
-
-    The model is published to a throwaway registry (the workers load it
-    from there — the same distribution path a deployment uses) and the
-    traffic loop is byte-identical to the single-process scenario, so
-    the two QPS figures compare directly. The result carries the smoke
-    signals CI gates on: ``worker_crashes`` (any respawn during a
-    healthy run is a crash), ``hung_workers`` (non-zero when shutdown
-    had to terminate a worker), and ``achieved_qps``.
-    """
-    model = CostGNN(GNNConfig(hidden_dim=config.hidden_dim, seed=config.seed))
-    model.eval()
-    registry_dir = tempfile.TemporaryDirectory(prefix="loadtest-registry-")
-    ModelRegistry(registry_dir.name).publish("loadtest", model)
-    router = WorkerRouter(
-        registry_dir.name,
-        "loadtest",
-        workers=workers,
-        shards_per_worker=1,
-        max_batch_size=config.max_batch_size,
-        max_wait_us=config.max_wait_us,
-    )
-    try:
-        if config.warmup:
-            templates = synthetic_graphs(config.templates, seed=config.seed)
-            for start in range(0, len(templates), config.max_batch_size):
-                router.score(templates[start : start + config.max_batch_size])
-        score = router.score if config.trace_sample == 0 else router.score_resilient
-        core = _drive_traffic(config, score, router.describe)
-        description = router.describe(include_workers=True)
-    finally:
-        hung = router.close()
-        registry_dir.cleanup()
-
-    # aggregate the per-worker engine caches into the same shape the
-    # single-process result reports
-    prepared_hits = prepared_misses = 0
-    pred_hits = pred_misses = 0
-    for stats in description.get("worker_stats", []):
-        engine = stats.get("engine", {})
-        request = engine.get("request_cache", {})
-        prepared_hits += request.get("prepared_hits", 0)
-        prepared_misses += request.get("prepared_misses", 0)
-        prediction = engine.get("prediction_cache", {})
-        pred_hits += prediction.get("hits", 0)
-        pred_misses += prediction.get("misses", 0)
-    pred_total = pred_hits + pred_misses
-    return {
-        "config": asdict(config),
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        **core,
-        "prediction_cache_hit_rate": pred_hits / pred_total if pred_total else 0.0,
-        "prepared_hits": prepared_hits,
-        "prepared_misses": prepared_misses,
-        "router_stats": description["stats"],
-        "worker_crashes": description["stats"]["respawns"],
-        "hung_workers": hung,
     }
 
 
@@ -671,14 +604,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--hidden-dim", type=int, default=32)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="drive a WorkerRouter of N worker processes instead of the "
-        "in-process engine; exits non-zero on worker crash, hung "
-        "shutdown, or zero aggregate QPS (the CI multiproc-smoke gate)",
-    )
     parser.add_argument("--out", default="", help="write the result JSON here")
     parser.add_argument(
         "--chaos",
@@ -726,36 +651,6 @@ def main(argv: list[str] | None = None) -> int:
             f"hung workers {doc['hung_workers']} -> wrote {out}"
         )
         return 1 if doc["hung_workers"] else 0
-    if args.workers > 0:
-        result = run_multiproc_loadtest(config, args.workers)
-        print(
-            f"{result['requests']} requests in {result['seconds']:.2f}s over "
-            f"{args.workers} worker processes = "
-            f"{result['achieved_qps']:,.0f} req/s aggregate "
-            f"(p50 {result['p50_ms']:.2f}ms / p99 {result['p99_ms']:.2f}ms)"
-        )
-        print(
-            f"router: {result['router_stats']['spills']} spills, "
-            f"{result['router_stats']['retries']} retries, "
-            f"{result['worker_crashes']} crashes, "
-            f"{result['hung_workers']} hung at shutdown"
-        )
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(result, fh, indent=2)
-                fh.write("\n")
-            print(f"wrote {args.out}")
-        failures = []
-        if result["worker_crashes"]:
-            failures.append(f"{result['worker_crashes']} worker crash(es)")
-        if result["hung_workers"]:
-            failures.append(f"{result['hung_workers']} hung worker(s) at shutdown")
-        if result["achieved_qps"] <= 0:
-            failures.append("zero aggregate QPS")
-        if failures:
-            print(f"MULTIPROC SMOKE FAILED: {'; '.join(failures)}")
-            return 1
-        return 0
     result = run_loadtest(config)
     baseline = serving_baseline_rps()
     if baseline:

@@ -45,8 +45,8 @@ from repro.exec import (
     generate_star_database,
 )
 from repro.feedback import FeedbackLog, observe_benchmark
-from repro.model import GNNConfig, GracefulModel, PreparedGraphCache, TrainConfig
-from repro.serve import AdvisorService, MicroBatchEngine
+from repro.model import GNNConfig, GracefulModel, TrainConfig
+from repro.serve import AdvisorService, ShardedEngine
 from repro.sql.query import UDFPlacement
 from repro.stats import StatisticsCatalog, make_estimator
 
@@ -216,7 +216,7 @@ def feed_real_runtimes(
     )
     model.fit(samples)
     log = FeedbackLog(config.feedback_dir)
-    engine = MicroBatchEngine(model.model, cache=PreparedGraphCache())
+    engine = ShardedEngine(model.model, shards=1)
     service = AdvisorService(
         engine,
         catalog=StatisticsCatalog(bench.database),

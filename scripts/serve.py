@@ -11,13 +11,8 @@ advice over HTTP::
     curl localhost:8080/models
     curl -X POST localhost:8080/advise -d '{"query": {...}}'
 
-``--workers N`` only picks the scoring backend: N worker processes
-behind the fingerprint-affinity router (DESIGN.md §14) instead of the
-in-process sharded engine. Every endpoint, placement advice included,
-works the same on both::
-
-    PYTHONPATH=src python scripts/serve.py --dataset movielens \
-        --workers 4 --port 8080
+Scoring runs on an in-process sharded engine (``--shards`` threads)
+with its fast-path caches, circuit breaker and degraded fallback armed.
 
 See ``examples/serving_client.py`` for a full client round-trip.
 """
@@ -39,7 +34,6 @@ from repro.serve import (
     PredictionCache,
     PreparedRequestCache,
     ShardedEngine,
-    WorkerRouter,
     make_server,
 )
 from repro.serve import faults
@@ -86,37 +80,21 @@ def build_service(args: argparse.Namespace):
         )
         print(f"published {version.ref}")
 
-    if args.workers > 0:
-        # every worker process loads the published version from the
-        # shared registry root, which is also what makes later canary
-        # promotions reach all of them
-        engine = WorkerRouter(
-            registry.root,
-            model_name,
-            model_version=version.version,
-            workers=args.workers,
-            shards_per_worker=max(1, args.shards),
-            max_batch_size=args.max_batch_size,
-            max_wait_us=args.max_wait_us,
-            max_queue=args.queue_cap or None,
-        )
-        print(f"worker router: {args.workers} process(es), affinity routing on")
-    else:
-        engine = ShardedEngine(
-            model,
-            shards=args.shards or None,  # None -> $REPRO_SERVE_SHARDS / cores
-            max_batch_size=args.max_batch_size,
-            max_wait_us=args.max_wait_us,
-            request_cache=PreparedRequestCache(),
-            prediction_cache=PredictionCache(),
-            max_queue=args.queue_cap or None,  # None -> $REPRO_QUEUE_CAP
-            breaker=CircuitBreaker(),
-            fallback=DegradedFallback(),
-        )
-        print(
-            f"inference engine: {engine.n_shards} shard(s), fast-path caches on, "
-            f"breaker + degraded fallback armed"
-        )
+    engine = ShardedEngine(
+        model,
+        shards=args.shards or None,  # None -> $REPRO_SERVE_SHARDS / cores
+        max_batch_size=args.max_batch_size,
+        max_wait_us=args.max_wait_us,
+        request_cache=PreparedRequestCache(),
+        prediction_cache=PredictionCache(),
+        max_queue=args.queue_cap or None,  # None -> $REPRO_QUEUE_CAP
+        breaker=CircuitBreaker(),
+        fallback=DegradedFallback(),
+    )
+    print(
+        f"inference engine: {engine.n_shards} shard(s), fast-path caches on, "
+        f"breaker + degraded fallback armed"
+    )
     service = AdvisorService(
         engine,
         catalog=StatisticsCatalog(bench.database),
@@ -145,9 +123,8 @@ def serve_until_signalled(server) -> None:
     handler the process would die mid-batch, dropping queued futures.
     The handler converts SIGTERM into the KeyboardInterrupt path so both
     signals shut down identically: stop accepting requests, then drain
-    the scoring backend (shard threads or worker processes). (Runs on
-    the main thread — signal handlers cannot be installed anywhere
-    else.)
+    the engine's shard threads. (Runs on the main thread — signal
+    handlers cannot be installed anywhere else.)
     """
     previous = signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
     try:
@@ -156,9 +133,7 @@ def serve_until_signalled(server) -> None:
         pass
     finally:
         signal.signal(signal.SIGTERM, previous)
-        hung = server.drain()
-        if hung:
-            print(f"warning: {hung} worker(s) needed a hard kill")
+        server.drain()
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -208,13 +183,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     )
     parser.add_argument("--strategy", default="conservative")
     parser.add_argument("--estimator", default="actual")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes for the multi-process tier (0 = in-process "
-        "sharded engine)",
-    )
     return parser.parse_args(argv)
 
 

@@ -33,7 +33,7 @@ from repro.feedback.retrain import (
     RetrainConfig,
     Retrainer,
 )
-from repro.serve.engine import MicroBatchEngine
+from repro.serve.engine import ShardedEngine
 from repro.serve.registry import ModelRegistry, ModelVersion
 
 
@@ -67,7 +67,7 @@ class FeedbackLoop:
     def __init__(
         self,
         log: FeedbackLog,
-        engine: MicroBatchEngine,
+        engine: ShardedEngine,
         registry: ModelRegistry,
         model_name: str,
         baseline_median: float,

@@ -31,7 +31,7 @@ from repro.model.training import (
     predict_runtimes,
     train_cost_model,
 )
-from repro.serve.engine import MicroBatchEngine
+from repro.serve.engine import ShardedEngine
 from repro.serve.registry import ModelRegistry, ModelVersion
 
 
@@ -222,7 +222,7 @@ class CanaryPromoter:
 
     def __init__(
         self,
-        engine: MicroBatchEngine,
+        engine: ShardedEngine,
         registry: ModelRegistry | None = None,
         min_improvement: float = 0.05,
         on_promote=None,

@@ -94,11 +94,22 @@ class Adam(Optimizer):
 
 
 def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
-    """Scale gradients in place so their global L2 norm is at most ``max_norm``."""
+    """Scale gradients in place so their global L2 norm is at most ``max_norm``.
+
+    Each parameter's sum of squares is taken in the gradient's dtype; a
+    float32 entry above ~1.8e19 squares to ``inf`` there, which would
+    make the scale 0 and silently zero the step. Only such a parameter
+    is summed again in float64, so every step that does not overflow
+    rounds exactly as before.
+    """
     total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad**2).sum())
+    with np.errstate(over="ignore"):
+        for p in params:
+            if p.grad is not None:
+                squares = float((p.grad**2).sum())
+                if not np.isfinite(squares):
+                    squares = float((p.grad.astype(np.float64) ** 2).sum())
+                total += squares
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0:
         scale = max_norm / norm

@@ -2,16 +2,16 @@
 
 Stdlib-only by design: :mod:`repro.obs` sits *below* ``repro.serve``
 and ``repro.feedback`` in the import graph so any layer — the engine's
-shard threads, the worker processes, the feedback flusher — can
-instrument itself without creating an import cycle.
+shard threads, the feedback flusher — can instrument itself without
+creating an import cycle.
 
 * :mod:`repro.obs.clock` — the one duration clock (``time.monotonic``);
 * :mod:`repro.obs.metrics` — counters/gauges/histograms with per-thread
   shards, Prometheus-text exposition, the ``REPRO_OBS`` on/off gate;
 * :mod:`repro.obs.tracing` — trace/span ids, the per-stage span
-  taxonomy, cross-process propagation, the ``REPRO_SLOW_MS`` slow log;
+  taxonomy, the ``REPRO_SLOW_MS`` slow log;
 * :mod:`repro.obs.export` — scrape-time samples from components that
-  keep their own counters (engine stats, caches, breaker, router).
+  keep their own counters (engine stats, caches, breaker, feedback).
 """
 
 from __future__ import annotations

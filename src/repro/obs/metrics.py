@@ -98,7 +98,7 @@ def log_buckets(lo: float, hi: float, per_decade: int = 4) -> tuple[float, ...]:
 
 
 #: 1-2.5-5 ladder from 100µs to 10s — wide enough for a cache hit
-#: (~µs) and a cold multi-process round trip (~s) on the same chart
+#: (~µs) and a cold, queued joint forward (~s) on the same chart
 DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
     0.0001,
     0.00025,

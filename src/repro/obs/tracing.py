@@ -1,4 +1,4 @@
-"""Cross-process request tracing and per-stage latency attribution.
+"""Request tracing and per-stage latency attribution.
 
 A :class:`Trace` is one request's collection of timed spans.  The span
 taxonomy (DESIGN.md §15) names where a request can spend time:
@@ -9,29 +9,22 @@ stage                  measured where
 ``http.decode``        front end — JSON parse + graph reconstruction
 ``queue.wait``         engine — submit → popped by a shard thread
 ``cache.lookup``       engine — fingerprints + prediction-cache probe
-``router.dispatch``    router — fingerprint, route, send frames
-``wire.roundtrip``     router — dispatch done → every reply gathered
-``frame.decode``       either side — unpickling one wire frame
 ``engine.wait``        engine caller — submit → futures resolved
 ``model.forward``      engine shard thread — one joint forward pass
-``worker.engine``      worker process — whole engine call (remote)
 ``degraded.fallback``  engine — breaker-open / failure fallback fill
 ``feedback.flush``     feedback log — one chunk written to disk
 =====================  =============================================
 
-Spans recorded on the request's own thread are **top-level**: they tile
-the request's wall clock, so their sum approximates the end-to-end
-latency (the acceptance gate holds them within 10%).  Spans reported
-from other threads or processes (a worker's engine breakdown riding
-back on the wire frame) are recorded **nested** — attribution detail
-inside some top-level span, excluded from the tiling sum.
+A trace records only the spans measured on the request's own thread,
+so they tile the request's wall clock and their sum approximates the
+end-to-end latency (the acceptance gate holds them within 10%).  Stages
+timed on a shard thread (``queue.wait``, ``model.forward``) have no
+current trace there and feed only the histogram.
 
 Every span also feeds the ``repro_stage_seconds{stage=...}`` histogram,
 so aggregate attribution exists even for untraced traffic; traces add
 the per-request view.  Propagation: ``X-Request-Id``/``X-Trace-Id``
-HTTP headers in and out of the front end, and an optional ``trace``
-field in the router→worker pickle frames (absent when untraced, so old
-workers and new routers interoperate either way).
+HTTP headers in and out of the front end.
 
 The slow-request log: with ``REPRO_SLOW_MS`` set, every front-end
 request is traced and any request slower than the threshold emits one
@@ -56,7 +49,6 @@ __all__ = [
     "clear_recent",
     "current",
     "finish",
-    "from_wire",
     "maybe_log_slow",
     "maybe_trace",
     "new_request_id",
@@ -69,7 +61,6 @@ __all__ = [
     "sample_every",
     "slow_threshold_s",
     "span",
-    "to_wire",
     "trace_request",
 ]
 
@@ -97,55 +88,49 @@ def new_span_id() -> str:
 class Span:
     """One timed stage inside a trace."""
 
-    __slots__ = ("span_id", "name", "seconds", "nested")
+    __slots__ = ("span_id", "name", "seconds")
 
-    def __init__(self, name: str, seconds: float, nested: bool = False):
+    def __init__(self, name: str, seconds: float):
         self.span_id = new_span_id()
         self.name = name
         self.seconds = seconds
-        self.nested = nested
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "nested" if self.nested else "span"
-        return f"<{kind} {self.name} {self.seconds * 1000:.3f}ms>"
+        return f"<span {self.name} {self.seconds * 1000:.3f}ms>"
 
 
 class Trace:
-    """One request's spans, tags, and wall-clock window."""
+    """One request's spans and wall-clock window."""
 
-    __slots__ = ("trace_id", "request_id", "spans", "tags", "started", "finished")
+    __slots__ = ("trace_id", "request_id", "spans", "started", "finished")
 
     def __init__(self, trace_id: str | None = None, request_id: str | None = None):
         self.trace_id = trace_id or new_trace_id()
         self.request_id = request_id or new_request_id()
         self.spans: list[Span] = []
-        self.tags: dict[str, object] = {}
         self.started = clock.monotonic()
         self.finished: float | None = None
 
-    def record(self, name: str, seconds: float, nested: bool = False) -> None:
-        self.spans.append(Span(name, seconds, nested))
-
-    def tag(self, key: str, value) -> None:
-        self.tags[key] = value
+    def record(self, name: str, seconds: float) -> None:
+        self.spans.append(Span(name, seconds))
 
     def total_seconds(self) -> float:
         end = self.finished if self.finished is not None else clock.monotonic()
         return end - self.started
 
     def top_level_seconds(self) -> float:
-        """Sum of spans measured on the request's own thread."""
-        return sum(s.seconds for s in self.spans if not s.nested)
+        """Sum of the spans (all measured on the request's own thread)."""
+        return sum(s.seconds for s in self.spans)
 
     def breakdown(self) -> dict[str, float]:
-        """Per-stage summed seconds, nested spans included."""
+        """Per-stage summed seconds."""
         out: dict[str, float] = {}
         for s in self.spans:
             out[s.name] = out.get(s.name, 0.0) + s.seconds
         return out
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "trace_id": self.trace_id,
             "request_id": self.request_id,
             "total_ms": round(self.total_seconds() * 1000.0, 3),
@@ -154,9 +139,6 @@ class Trace:
                 for name, seconds in sorted(self.breakdown().items())
             },
         }
-        if self.tags:
-            doc["tags"] = dict(self.tags)
-        return doc
 
 
 _CURRENT: contextvars.ContextVar[Trace | None] = contextvars.ContextVar(
@@ -221,18 +203,18 @@ def trace_request(trace_id: str | None = None, request_id: str | None = None):
         finish(trace)
 
 
-def observe_stage(name: str, seconds: float, nested: bool = False) -> None:
+def observe_stage(name: str, seconds: float) -> None:
     """Record one stage duration: histogram always, current trace if any."""
     if not metrics.enabled():
         return
     STAGE_SECONDS.labels(name).observe(seconds)
     trace = _CURRENT.get()
     if trace is not None:
-        trace.record(name, seconds, nested)
+        trace.record(name, seconds)
 
 
 @contextlib.contextmanager
-def span(name: str, nested: bool = False):
+def span(name: str):
     """Time the block as one stage (no-op when observability is off)."""
     if not metrics.enabled():
         yield None
@@ -241,24 +223,7 @@ def span(name: str, nested: bool = False):
     try:
         yield None
     finally:
-        observe_stage(name, clock.monotonic() - started, nested)
-
-
-# -- cross-process propagation -----------------------------------------
-
-
-def to_wire(trace: Trace | None) -> dict[str, str] | None:
-    """Trace context as a pickle-frame-friendly dict (None when untraced)."""
-    if trace is None:
-        return None
-    return {"trace_id": trace.trace_id, "request_id": trace.request_id}
-
-
-def from_wire(wire: dict | None) -> Trace | None:
-    """Rehydrate a received trace context (None-safe)."""
-    if not wire:
-        return None
-    return Trace(wire.get("trace_id"), wire.get("request_id"))
+        observe_stage(name, clock.monotonic() - started)
 
 
 # -- sampling + slow-request log ---------------------------------------

@@ -5,19 +5,15 @@ optimization time*; this package is that serving surface (DESIGN.md §9):
 
 * :class:`ModelRegistry` — named, versioned trained models with
   fingerprinted metadata and an LRU of live instances;
-* :class:`MicroBatchEngine` — coalesces concurrent prediction requests
-  into joint prepared-graph batches behind per-request futures;
-* :class:`ShardedEngine` — the same contract fanned out over
-  ``REPRO_SERVE_SHARDS`` worker threads with fingerprint-keyed serving
-  caches (:class:`PreparedRequestCache`, :class:`PredictionCache`);
+* :class:`ShardedEngine` — the one scoring backend every serving
+  component takes: ``REPRO_SERVE_SHARDS`` shard threads, each a
+  :class:`MicroBatchEngine` that coalesces concurrent prediction
+  requests into joint prepared-graph batches, behind fingerprint-keyed
+  serving caches (:class:`PreparedRequestCache`,
+  :class:`PredictionCache`);
 * :class:`AdvisorService` — multi-client ``suggest_placement`` sessions
   scoring every placement alternative in one micro-batch;
-* :class:`WorkerRouter` / :mod:`repro.serve.worker` — N worker
-  *processes* behind a fingerprint-affinity consistent-hash router with
-  epoch-fenced promotion and supervisor respawn (DESIGN.md §14), a
-  drop-in scoring backend for :class:`ShardedEngine`;
-* :mod:`repro.serve.http` — the stdlib JSON front end over all of it,
-  whichever backend the :class:`AdvisorService` wraps;
+* :mod:`repro.serve.http` — the stdlib JSON front end over all of it;
 * :mod:`repro.serve.resilience` / :mod:`repro.serve.faults` — deadlines,
   circuit breaker, degraded fallback, health states, and the
   deterministic fault-injection registry behind the chaos harness
@@ -59,8 +55,6 @@ from repro.serve.resilience import (
     DegradedFallback,
     HealthMonitor,
 )
-from repro.serve.router import RouterOutcome, RouterStats, WorkerRouter
-from repro.serve.worker import WorkerConfig
 
 __all__ = [
     "AdvisorService",
@@ -76,15 +70,11 @@ __all__ = [
     "ModelVersion",
     "PredictionCache",
     "PreparedRequestCache",
-    "RouterOutcome",
-    "RouterStats",
     "ScoreOutcome",
     "ServingServer",
     "SessionStats",
     "ShardedEngine",
     "WorkerCrash",
-    "WorkerConfig",
-    "WorkerRouter",
     "decision_to_json",
     "default_queue_cap",
     "default_shards",

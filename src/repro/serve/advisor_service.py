@@ -3,9 +3,10 @@
 The offline :class:`~repro.advisor.advisor.PullUpAdvisor` predicts the
 two placement cost curves with two sequential model calls. The service
 variant scores *all* annotated graphs of a decision — both placements ×
-every selectivity level — in one ``submit_many`` call, so a single
-advisory request forms one micro-batch by itself, and concurrent
-requests from many clients coalesce further inside the engine.
+every selectivity level — in one ``score_resilient`` call on the
+:class:`~repro.serve.engine.ShardedEngine`, so a single advisory request
+forms one micro-batch by itself, and concurrent requests from many
+clients coalesce further inside the engine.
 
 Graph construction and strategy resolution are the exact shared helpers
 of :mod:`repro.advisor.advisor` (:func:`placement_graphs`,
@@ -37,7 +38,7 @@ from repro.advisor.strategies import SELECTIVITY_LEVELS
 from repro.core.joint_graph import JointGraph, JointGraphConfig
 from repro.exceptions import ServingError
 from repro.feedback.collector import FeedbackLog, FeedbackRecord
-from repro.serve.engine import MicroBatchEngine
+from repro.serve.engine import ShardedEngine
 from repro.sql.query import Query, UDFPlacement
 from repro.stats.base import CardinalityEstimator
 from repro.stats.catalog import StatisticsCatalog
@@ -110,11 +111,11 @@ class AdvisorSession:
 
 
 class AdvisorService:
-    """Multi-client placement advisory over one micro-batching engine."""
+    """Multi-client placement advisory over one sharded engine."""
 
     def __init__(
         self,
-        engine: MicroBatchEngine,
+        engine: ShardedEngine,
         catalog: StatisticsCatalog,
         estimator: CardinalityEstimator,
         strategy: str = "conservative",
@@ -183,39 +184,29 @@ class AdvisorService:
             query, self.catalog, self.estimator, levels, self.joint_config
         )
         # One submission for every placement alternative: the engine sees
-        # them together and runs a single joint forward pass. A sharded
-        # engine with a prediction cache scores through the fast path —
-        # repeat (graph, placement, selectivity) keys skip the forward
-        # entirely and only the misses travel to the shards.
+        # them together and runs a single joint forward pass. With a
+        # prediction cache, repeat (graph, placement, selectivity) keys
+        # skip the forward entirely and only the misses travel to the
+        # shards.
         order = (UDFPlacement.PUSH_DOWN, UDFPlacement.PULL_UP)
         flat = [g for placement in order for g in graphs[placement]]
-        degraded = False
-        resilient = getattr(self.engine, "score_resilient", None)
+        contexts = [
+            (placement.value, float(level)) for placement in order for level in levels
+        ]
         try:
-            if resilient is not None:
-                contexts = [
-                    (placement.value, float(level))
-                    for placement in order
-                    for level in levels
-                ]
-                outcome = resilient(flat, contexts, deadline=deadline)
-                err = outcome.first_error()
-                if err is not None:
-                    # a decision needs every cost; any failed point
-                    # fails the advisory call as a whole
-                    raise err
-                values = outcome.values
-                degraded = outcome.degraded
-            else:
-                futures = self.engine.submit_many(flat)
-                values = [f.result() for f in futures]
+            outcome = self.engine.score_resilient(flat, contexts, deadline=deadline)
+            err = outcome.first_error()
+            if err is not None:
+                # a decision needs every cost; any failed point fails
+                # the advisory call as a whole
+                raise err
         except ServingError:
             # sheds and rejections keep their class: the HTTP layer maps
             # EngineOverloaded/DeadlineExceeded/... to their own statuses
             raise
         except Exception as exc:  # surface engine-side failures uniformly
             raise ServingError(f"placement scoring failed: {exc}") from exc
-        per_placement = np.asarray(values, dtype=np.float64).reshape(
+        per_placement = np.asarray(outcome.values, dtype=np.float64).reshape(
             len(order), len(levels)
         )
         pushdown_costs, pullup_costs = per_placement
@@ -230,7 +221,7 @@ class AdvisorService:
             selectivity_levels=levels,
             decision_seconds=time.perf_counter() - start,
         )
-        decision.degraded = degraded
+        decision.degraded = outcome.degraded
         if self.feedback is not None:
             decision.decision_id = self._stash_pending(query, graphs, decision, session)
         self._record(session, decision)

@@ -12,8 +12,8 @@ engine bridges the two shapes (DESIGN.md §9):
   flushing when either ``max_batch_size`` requests are pending or the
   oldest request has waited ``max_wait_us`` microseconds — the classic
   latency/throughput knob pair of model-serving systems;
-* the whole batch runs through the shared
-  :class:`~repro.model.prepared.PreparedGraphCache` and a single GNN
+* the whole batch runs through the fingerprint-keyed
+  :class:`~repro.serve.cache.PreparedRequestCache` and a single GNN
   forward; each request's future resolves to its own runtime.
 
 A request that poisons the joint batch (e.g. a cyclic graph) does not
@@ -52,7 +52,6 @@ from repro.exceptions import (
 )
 from repro.model.batching import make_batch_prepared
 from repro.model.gnn import CostGNN
-from repro.model.prepared import PreparedGraphCache, default_graph_cache
 from repro.obs import clock, metrics, tracing
 from repro.serve import faults
 from repro.serve.cache import PredictionCache, PreparedRequestCache
@@ -143,7 +142,6 @@ class MicroBatchEngine:
         model: CostGNN,
         max_batch_size: int = 64,
         max_wait_us: float = 2000.0,
-        cache: PreparedGraphCache | None = None,
         request_cache: PreparedRequestCache | None = None,
         name: str = "microbatch-engine",
         max_queue: int | None = None,
@@ -153,11 +151,12 @@ class MicroBatchEngine:
         self.model = model
         self.max_batch_size = max_batch_size
         self.max_wait_s = max_wait_us / 1e6
-        self.cache = cache if cache is not None else default_graph_cache()
-        #: fingerprint-keyed prepared topology; when set it replaces the
-        #: identity cache so repeat *content* hits across fresh objects
-        #: (and is safe to share between shards — internally locked)
-        self.request_cache = request_cache
+        #: fingerprint-keyed prepared topology: repeat *content* hits
+        #: across fresh objects (and it is safe to share between shards
+        #: — internally locked)
+        self.request_cache = (
+            request_cache if request_cache is not None else PreparedRequestCache()
+        )
         #: admission bound: submissions past this depth are shed with
         #: :class:`EngineOverloaded` instead of queued without limit
         self.max_queue = max_queue if max_queue is not None else default_queue_cap()
@@ -377,10 +376,7 @@ class MicroBatchEngine:
         # one read: a concurrent swap_model must not split a batch
         # between the old model's dtype and the new model's weights
         model = self.model
-        if self.request_cache is not None:
-            prepared = self.request_cache.prepared_many(graphs)
-        else:
-            prepared = self.cache.get_many(graphs)
+        prepared = self.request_cache.prepared_many(graphs)
         batch = make_batch_prepared(prepared, np.zeros(len(graphs)), dtype=model.dtype)
         return model.predict_runtimes(batch)
 
@@ -392,18 +388,15 @@ class MicroBatchEngine:
         return len(self._queue)
 
     def describe(self) -> dict:
-        info = {
+        return {
             "max_batch_size": self.max_batch_size,
             "max_wait_us": self.max_wait_s * 1e6,
             "max_queue": self.max_queue,
             "queued": self.queue_depth(),
             "closed": self._closed,
             "stats": self.stats.as_dict(),
-            "graph_cache": self.cache.stats(),
+            "request_cache": self.request_cache.stats(),
         }
-        if self.request_cache is not None:
-            info["request_cache"] = self.request_cache.stats()
-        return info
 
 
 @dataclass
@@ -486,15 +479,11 @@ class ShardedEngine:
         #: optional HealthMonitor notified on shard restarts (wired by
         #: the HTTP layer; the engine itself has no HTTP concept)
         self.health = None
-        # per-shard identity caches stay unused while request_cache is
-        # set, but keep them private per shard: the process-global
-        # default cache is not safe under concurrent shard workers
         self._shards = [
             MicroBatchEngine(
                 model,
                 max_batch_size=max_batch_size,
                 max_wait_us=max_wait_us,
-                cache=PreparedGraphCache(max_graphs=1024),
                 request_cache=self.request_cache,
                 name=f"microbatch-shard-{i}",
                 max_queue=max_queue,

@@ -20,17 +20,15 @@ handled on its own thread, so concurrent clients' ``/predict`` and
 ``/advise`` calls meet inside the micro-batching engine and share joint
 forward passes — the serving win needs no async framework.
 
-The scoring backend is whatever the :class:`AdvisorService` wraps: an
-in-process :class:`~repro.serve.engine.ShardedEngine`, or a
-:class:`~repro.serve.router.WorkerRouter` over worker processes
-(DESIGN.md §14). Both answer ``score_resilient``/``describe``; only
-``/metrics`` and ``/healthz`` tell them apart.
+The scoring backend is the :class:`~repro.serve.engine.ShardedEngine`
+the :class:`AdvisorService` wraps; ``/predict`` and ``/advise`` both
+score through its ``score_resilient``.
 
-When the backend carries a :class:`~repro.serve.cache
-.PreparedRequestCache`, repeated ``/predict`` and ``/advise`` bodies are
-recognized by a fingerprint of the *raw request bytes* and skip JSON
-parsing and codec decoding entirely — and because the cache hands back
-the same decoded objects every time, the downstream fingerprint memo and
+Repeated ``/predict`` and ``/advise`` bodies are recognized by a
+fingerprint of the *raw request bytes* in the engine's
+:class:`~repro.serve.cache.PreparedRequestCache` and skip JSON parsing
+and codec decoding entirely — and because the cache hands back the same
+decoded objects every time, the downstream fingerprint memo and
 prepared/prediction tiers stay hot too (DESIGN.md §11).
 """
 
@@ -63,9 +61,9 @@ from repro.serve.codec import (
     query_from_json,
     selectivity_from_json,
 )
+from repro.serve.engine import ShardedEngine
 from repro.serve.registry import ModelRegistry
 from repro.serve.resilience import HealthMonitor, deadline_from_ms
-from repro.serve.router import WorkerRouter
 
 logger = logging.getLogger("repro.serve")
 
@@ -129,65 +127,53 @@ class ServingServer(ThreadingHTTPServer):
     ):
         super().__init__(address, ServingHandler)
         self.service = service
-        self.engine = service.engine
+        self.engine: ShardedEngine = service.engine
         self.registry = registry
         self.model_ref = model_ref
         #: optional :class:`repro.feedback.FeedbackLoop`; surfaces drift
         #: and promotion state through /stats and keeps model_ref honest
         self.loop = loop
-        #: the /healthz state machine, wired to the engine's breaker, a
-        #: router's worker counts, and (via the shard or worker
-        #: supervisor) the backend's restart history
-        self.health = health or HealthMonitor(
-            breaker=getattr(service.engine, "breaker", None),
-            workers=getattr(service.engine, "worker_counts", None),
-        )
-        if getattr(service.engine, "health", "missing") is None:
+        #: the /healthz state machine, wired to the engine's breaker and
+        #: (via the shard supervisor) the engine's restart history
+        self.health = health or HealthMonitor(breaker=service.engine.breaker)
+        if service.engine.health is None:
             service.engine.health = self.health
         self.started = time.time()
         #: feeds the every-Nth trace sampler (REPRO_TRACE_SAMPLE)
         self.request_seq = itertools.count(1)
         self.health.mark_ready()
 
-    def drain(self) -> int:
-        """Stop accepting requests, drain the backend, flush feedback.
+    def drain(self) -> None:
+        """Stop accepting requests, drain the engine, flush feedback.
 
         The health state flips to ``draining`` first (new requests get a
         clean 503 instead of racing the shutdown), then in-flight work
         drains; the feedback log buffers appends in memory (its flusher
         spills chunks in the background), so the SIGTERM/ctrl-c path
         must force a final synchronous flush or the tail of observed
-        runtimes dies with the process. Returns the number of worker
-        processes that ignored their shutdown and had to be killed
-        (always 0 for an in-process engine).
+        runtimes dies with the process.
         """
         self.health.mark_draining()
         self.shutdown()
-        hung = self.engine.close()
+        self.engine.close()
         feedback = self.service.feedback
         if feedback is not None:
             feedback.flush()
-        return hung or 0
 
     def cache_section(self) -> dict:
         """Per-tier cache counters for the /stats ``caches`` section."""
-        caches: dict = {}
-        request_cache = getattr(self.engine, "request_cache", None)
-        if request_cache is not None:
-            caches["request"] = request_cache.stats()
-        prediction_cache = getattr(self.engine, "prediction_cache", None)
-        if prediction_cache is not None:
-            caches["prediction"] = prediction_cache.stats()
+        caches = {"request": self.engine.request_cache.stats()}
+        if self.engine.prediction_cache is not None:
+            caches["prediction"] = self.engine.prediction_cache.stats()
         return caches
 
     def render_metrics(self) -> str:
-        """Prometheus text: live registry + scrape-time backend samples."""
-        backend = "router" if isinstance(self.engine, WorkerRouter) else "engine"
+        """Prometheus text: live registry + scrape-time engine samples."""
         return metrics.render(
             export.serving_samples(
+                engine=self.engine,
                 health=self.health,
                 feedback=self.service.feedback,
-                **{backend: self.engine},
             )
         )
 
@@ -346,20 +332,15 @@ class ServingHandler(BaseHTTPRequestHandler):
             raise ServingError("JSON body must be an object")
         return payload
 
-    def _request_cache(self):
-        return getattr(self.server.engine, "request_cache", None)
-
     def _cached_payload(self, raw: bytes, route: str):
         """``(decoded, remember)`` for a raw body via the payload tier.
 
         ``decoded`` is the cached object for a repeated body (entries
         are tagged by route so /predict and /advise bodies can never
         cross-serve) or ``None`` on a miss; ``remember(decoded)`` stores
-        the parse result, and is ``None`` when no cache is attached.
+        the parse result.
         """
-        cache = self._request_cache()
-        if cache is None:
-            return None, None
+        cache = self.server.engine.request_cache
         fp = payload_fingerprint(raw)
         cached = cache.lookup_payload(fp)
         if cached is not None and cached[0] == route:
@@ -390,8 +371,6 @@ class ServingHandler(BaseHTTPRequestHandler):
             }
             if health.breaker is not None:
                 payload["breaker"] = health.breaker.state
-            if health.workers is not None:
-                payload["alive"], payload["workers"] = health.workers()
             # ready/degraded answer 200 (the service responds, possibly
             # at reduced fidelity); starting/draining answer 503 so load
             # balancers stop routing here
@@ -411,7 +390,7 @@ class ServingHandler(BaseHTTPRequestHandler):
         elif self.path == "/stats":
             # every section is a snapshot read: the engine reports queue
             # depths and per-shard counters without its dispatch lock,
-            # so /stats stays responsive while the workers are saturated
+            # so /stats stays responsive while the shards are saturated
             stats = server.service.describe()
             stats["health"] = server.health.describe()
             stats["caches"] = server.cache_section()
@@ -496,43 +475,24 @@ class ServingHandler(BaseHTTPRequestHandler):
                 if not isinstance(raw_graphs, list) or not raw_graphs:
                     raise ServingError('"graphs" must be a non-empty list')
                 graphs = [graph_from_json(g) for g in raw_graphs]
-                if remember is not None:
-                    remember(graphs)
-        engine = self.server.engine
-        resilient = getattr(engine, "score_resilient", None)
-        if resilient is not None:
-            outcome = resilient(graphs, deadline=deadline)
-            answered = [v is not None for v in outcome.values]
-            if not any(answered):
-                # nothing was answered: one structured rejection beats a
-                # vector of nulls (a lone shed request gets its 503/504)
-                raise outcome.first_error() or ServingError("scoring failed")
-            runtimes = [
-                float(v) if v is not None else None for v in outcome.values
-            ]
-            response: dict = {"runtimes": runtimes}
-            errors = [
-                self._item_error(i, outcome.statuses[i], outcome.errors[i])
-                for i in range(len(graphs))
-                if not answered[i]
-            ]
-            if errors:
-                response["errors"] = errors
-            if outcome.degraded:
-                response["degraded"] = True
-            self._send_json(response)
-            return
-        futures = engine.submit_many(graphs, deadline=deadline)
-        runtimes, errors = [], []
-        for i, future in enumerate(futures):
-            try:
-                runtimes.append(future.result())
-            except Exception as exc:
-                runtimes.append(None)
-                errors.append(self._item_error(i, "error", exc))
-        response = {"runtimes": runtimes}
+                remember(graphs)
+        outcome = self.server.engine.score_resilient(graphs, deadline=deadline)
+        answered = [v is not None for v in outcome.values]
+        if not any(answered):
+            # nothing was answered: one structured rejection beats a
+            # vector of nulls (a lone shed request gets its 503/504)
+            raise outcome.first_error() or ServingError("scoring failed")
+        runtimes = [float(v) if v is not None else None for v in outcome.values]
+        response: dict = {"runtimes": runtimes}
+        errors = [
+            self._item_error(i, outcome.statuses[i], outcome.errors[i])
+            for i in range(len(graphs))
+            if not answered[i]
+        ]
         if errors:
             response["errors"] = errors
+        if outcome.degraded:
+            response["degraded"] = True
         self._send_json(response)
 
     def _handle_advise(self, raw: bytes, deadline: float | None = None) -> None:
@@ -552,8 +512,7 @@ class ServingHandler(BaseHTTPRequestHandler):
                 if strategy is not None and not isinstance(strategy, str):
                     raise ServingError('"strategy" must be a string')
                 parsed = (query, true_selectivity, client, strategy)
-                if remember is not None:
-                    remember(parsed)
+                remember(parsed)
         query, true_selectivity, client, strategy = parsed
         session = self.server.service.session(client)
         decision = session.suggest_placement(

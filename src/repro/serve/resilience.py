@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -307,19 +306,14 @@ class HealthMonitor:
 
     ``draining`` and ``starting`` are explicit lifecycle edges set by the
     server; between them the state is *computed*: ``degraded`` whenever
-    the breaker is not closed, a shard or worker restarted within
-    ``restart_grace_s``, or some worker processes are down, else
-    ``ready``. With no worker process alive nothing can answer, which
-    reads as ``starting`` again. ``/healthz`` answers 200 for
+    the breaker is not closed or a shard restarted within
+    ``restart_grace_s``, else ``ready``. ``/healthz`` answers 200 for
     ready/degraded (the service responds, possibly at reduced fidelity)
     and 503 for starting/draining (do not route traffic here).
     """
 
     breaker: CircuitBreaker | None = None
     restart_grace_s: float = 5.0
-    #: ``() -> (alive, total)`` worker processes behind the service, for
-    #: a :class:`~repro.serve.router.WorkerRouter` backend
-    workers: Callable[[], tuple[int, int]] | None = None
     _started: bool = False
     _draining: bool = False
     _last_restart: float = field(default=0.0)
@@ -354,12 +348,6 @@ class HealthMonitor:
                 self._last_restart > 0.0
                 and clock.monotonic() - self._last_restart < self.restart_grace_s
             )
-        if self.workers is not None:
-            alive, total = self.workers()
-            if alive == 0:
-                return "starting"
-            if alive < total:
-                return "degraded"
         if recently_restarted:
             return "degraded"
         if self.breaker is not None and self.breaker.state != "closed":

@@ -77,13 +77,11 @@ def test_lint_job_runs_ruff_with_repo_config(workflow):
 
 def test_lint_format_scope_covers_grown_trees(workflow):
     """The formatter's coverage must grow with the subsystems it guards:
-    serving (PR 3), the feedback tree and every script (PR 4), the model
-    layer behind the serving fast path (PR 5), the resilience layer and
-    its chaos suite (PR 6), the execution backends and their test suites
-    (PR 7), the multi-process serving tier and the loadtest perf suite
-    (PR 8), the observability layer and its suites (PR 9), the
-    distributed runner and its suites (PR 10), the HTTP contract suite
-    over both scoring backends."""
+    serving, the feedback tree and every script, the model layer behind
+    the serving fast path, the resilience layer and its chaos suite, the
+    execution backends and their test suites, the loadtest perf suite,
+    the observability layer and its suites, the distributed runner and
+    its suites, and the HTTP contract suite."""
     runs = job_run_lines(workflow["jobs"]["lint"])
     format_step = next(
         (
@@ -105,7 +103,6 @@ def test_lint_format_scope_covers_grown_trees(workflow):
         "tests/test_resilience.py",
         "tests/test_exec_backend.py",
         "tests/test_sql_render.py",
-        "tests/test_multiproc.py",
         "tests/test_obs.py",
         "src/repro/obs",
         "benchmarks/test_perf_chaos.py",
@@ -182,21 +179,6 @@ def test_bench_smoke_compares_against_baselines(workflow):
     assert "::error" in script  # ...past-gate regressions fail
     assert "--no-gate" in script  # with a documented escape hatch
     assert "1 if failures else 0" in script
-
-
-def test_bench_smoke_runs_multiproc_smoke(workflow):
-    """The multiproc-smoke step must drive the worker-router tier and
-    fail on the liveness signals loadtest.py encodes in its exit code
-    (worker crash, hung shutdown, zero aggregate QPS)."""
-    runs = job_run_lines(workflow["jobs"]["bench-smoke"])
-    scope = " ".join(runs.split())
-    assert "scripts/loadtest.py --workers 2" in scope
-    assert "BENCH_multiproc_smoke.json" in scope
-    # the row is a per-machine liveness signal: uploaded as an artifact
-    # (the BENCH_*.json glob), never committed, never perf-gated
-    assert "BENCH_multiproc_smoke.json" in (ROOT / ".gitignore").read_text()
-    script = (ROOT / "scripts" / "bench_compare.py").read_text()
-    assert "multiproc_smoke" in script
 
 
 def test_bench_smoke_runs_benchmark_harness_smoke(workflow):
@@ -304,7 +286,7 @@ def test_bench_compare_gate_noise_floor_and_exemptions():
     """The gate must not fire where the measurement can't support it:
     sub-millisecond timings (scheduler jitter), microsecond knobs under
     1ms, sub-millisecond elapsed times — and never on the per-machine
-    multiproc smoke row."""
+    runner smoke row."""
     path = ROOT / "scripts" / "bench_compare.py"
     spec = importlib.util.spec_from_file_location("bench_compare_gate", path)
     module = importlib.util.module_from_spec(spec)
@@ -315,7 +297,7 @@ def test_bench_compare_gate_noise_floor_and_exemptions():
     assert not module.noise_floor("x.startup_us", 5000.0)
     assert module.noise_floor("x.seconds", 5e-4)
     assert not module.noise_floor("x.seconds", 0.5)
-    assert "multiproc_smoke" in module.NEVER_GATE_BENCHES
+    assert "runner_smoke" in module.NEVER_GATE_BENCHES
     # gate failures surface as ::error and a non-zero exit; --no-gate
     # and small deltas stay on the warning tier
     script = path.read_text()

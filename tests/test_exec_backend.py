@@ -357,13 +357,8 @@ class TestRecordRuntimeMetadata:
     def service(self, tiny_bench, tmp_path_factory):
         from repro.eval import prepare_dataset_samples, training_placements
         from repro.feedback import FeedbackLog
-        from repro.model import (
-            GNNConfig,
-            GracefulModel,
-            PreparedGraphCache,
-            TrainConfig,
-        )
-        from repro.serve import AdvisorService, MicroBatchEngine
+        from repro.model import GNNConfig, GracefulModel, TrainConfig
+        from repro.serve import AdvisorService, ShardedEngine
         from repro.stats import StatisticsCatalog, make_estimator
 
         samples = prepare_dataset_samples(
@@ -373,7 +368,7 @@ class TestRecordRuntimeMetadata:
             GNNConfig(hidden_dim=8), TrainConfig(epochs=2, seed=0)
         )
         model.fit(samples)
-        engine = MicroBatchEngine(model.model, cache=PreparedGraphCache())
+        engine = ShardedEngine(model.model, shards=1)
         log = FeedbackLog(tmp_path_factory.mktemp("fb"))
         service = AdvisorService(
             engine,

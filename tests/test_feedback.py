@@ -41,14 +41,13 @@ from repro.model import (
     CostGNN,
     GNNConfig,
     GracefulModel,
-    PreparedGraphCache,
     TrainConfig,
     predict_runtimes,
 )
 from repro.serve import (
     AdvisorService,
-    MicroBatchEngine,
     ModelRegistry,
+    ShardedEngine,
     feedback_record_from_json,
     feedback_record_to_json,
     make_server,
@@ -447,9 +446,7 @@ class TestCanaryPromoter:
     def test_engine_swap_between_batches(self, model):
         other = CostGNN(GNNConfig(hidden_dim=8, dtype="float64", seed=7))
         graphs = synthetic_graphs(6, seed=3)
-        with MicroBatchEngine(
-            model, max_batch_size=8, cache=PreparedGraphCache()
-        ) as engine:
+        with ShardedEngine(model, shards=1, max_batch_size=8) as engine:
             before = engine.predict(graphs)
             engine.swap_model(other)
             after = engine.predict(graphs)
@@ -478,9 +475,7 @@ class TestCanaryPromoter:
             holdout=holdout,
             final_loss=0.0,
         )
-        with MicroBatchEngine(
-            model, max_batch_size=8, cache=PreparedGraphCache()
-        ) as engine:
+        with ShardedEngine(model, shards=1, max_batch_size=8) as engine:
             promoter = CanaryPromoter(engine, registry, min_improvement=0.05)
             result = promoter.consider(model, outcome)
             assert not result.promoted
@@ -506,9 +501,7 @@ class TestCanaryPromoter:
         )
         outcome = retrainer.retrain(model, records, live_ref="m@v1")
         promoted_refs = []
-        with MicroBatchEngine(
-            model, max_batch_size=8, cache=PreparedGraphCache()
-        ) as engine:
+        with ShardedEngine(model, shards=1, max_batch_size=8) as engine:
             promoter = CanaryPromoter(
                 engine,
                 registry,
@@ -547,9 +540,7 @@ class TestContinualLearningEndToEnd:
         log = FeedbackLog(tmp_path / "fb", capacity=64, chunk_records=16)
         registry = ModelRegistry(tmp_path / "reg")
         version = registry.publish("costgnn-tiny", live_model)
-        engine = MicroBatchEngine(
-            live_model, max_batch_size=32, cache=PreparedGraphCache()
-        )
+        engine = ShardedEngine(live_model, shards=1, max_batch_size=32)
         service = AdvisorService(
             engine, catalog=catalog, estimator=estimator, feedback=log
         )
@@ -654,7 +645,7 @@ def make_udf_query():
 @pytest.fixture()
 def feedback_service(handmade_db, model, tmp_path):
     log = FeedbackLog(tmp_path / "fb", capacity=256, chunk_records=32)
-    engine = MicroBatchEngine(model, max_batch_size=32, cache=PreparedGraphCache())
+    engine = ShardedEngine(model, shards=1, max_batch_size=32)
     service = AdvisorService(
         engine,
         catalog=StatisticsCatalog(handmade_db),
@@ -733,9 +724,7 @@ class TestAdvisorServiceFeedback:
             service.record_runtime(first.decision_id, 0.25)  # evicted
 
     def test_no_feedback_log_means_no_ids(self, handmade_db, model):
-        with MicroBatchEngine(
-            model, max_batch_size=8, cache=PreparedGraphCache()
-        ) as engine:
+        with ShardedEngine(model, shards=1, max_batch_size=8) as engine:
             service = AdvisorService(
                 engine,
                 catalog=StatisticsCatalog(handmade_db),
@@ -870,9 +859,7 @@ class TestFeedbackHTTP:
         assert "split the report" in err.value.read().decode()
 
     def test_feedback_without_log_is_400(self, handmade_db, model):
-        with MicroBatchEngine(
-            model, max_batch_size=8, cache=PreparedGraphCache()
-        ) as engine:
+        with ShardedEngine(model, shards=1, max_batch_size=8) as engine:
             service = AdvisorService(
                 engine,
                 catalog=StatisticsCatalog(handmade_db),
@@ -897,9 +884,7 @@ class TestFeedbackLoopEdgeCases:
         log = FeedbackLog(tmp_path / "fb", capacity=64, chunk_records=16)
         registry = ModelRegistry(tmp_path / "reg")
         registry.publish("m", model)
-        with MicroBatchEngine(
-            model, max_batch_size=8, cache=PreparedGraphCache()
-        ) as engine:
+        with ShardedEngine(model, shards=1, max_batch_size=8) as engine:
             loop = FeedbackLoop(
                 log, engine, registry, "m", baseline_median=1.2
             )
@@ -915,9 +900,7 @@ class TestFeedbackLoopEdgeCases:
         log = FeedbackLog(tmp_path / "fb", capacity=256, chunk_records=64)
         registry = ModelRegistry(tmp_path / "reg")
         registry.publish("m", model)
-        with MicroBatchEngine(
-            model, max_batch_size=8, cache=PreparedGraphCache()
-        ) as engine:
+        with ShardedEngine(model, shards=1, max_batch_size=8) as engine:
             loop = FeedbackLoop(
                 log,
                 engine,
@@ -942,9 +925,7 @@ class TestFeedbackLoopEdgeCases:
         log.flush()
         registry = ModelRegistry(tmp_path / "reg")
         registry.publish("m", model)
-        with MicroBatchEngine(
-            model, max_batch_size=8, cache=PreparedGraphCache()
-        ) as engine:
+        with ShardedEngine(model, shards=1, max_batch_size=8) as engine:
             loop = FeedbackLoop(
                 log,
                 engine,

@@ -1,15 +1,11 @@
-"""The HTTP contract (DESIGN.md §12, §15) over both scoring backends.
+"""The HTTP contract (DESIGN.md §12, §15).
 
-One front end, :class:`~repro.serve.http.ServingServer`, serves whichever
-backend its :class:`~repro.serve.AdvisorService` wraps: an in-process
-:class:`~repro.serve.ShardedEngine` or a 2-worker
-:class:`~repro.serve.WorkerRouter`. Every test of :class:`TestContract`
-runs against both: parity with the in-process model and the offline
-advisor, feedback reaching the log, the ``/healthz``, ``/stats`` and
-``/metrics`` shapes, request ids and traces, and a table of malformed
-requests that must each get a structured 4xx body, never a 500.
-:class:`TestRouterHealth` drives ``/healthz`` through worker loss and
-respawn.
+:class:`~repro.serve.http.ServingServer` serves the
+:class:`~repro.serve.ShardedEngine` its :class:`~repro.serve.AdvisorService`
+wraps. :class:`TestContract` pins parity with the in-process model and
+the offline advisor, feedback reaching the log, the ``/healthz``,
+``/stats`` and ``/metrics`` shapes, request ids and traces; a table of
+malformed requests must each get a structured 4xx body, never a 500.
 """
 
 from __future__ import annotations
@@ -31,34 +27,23 @@ from repro.serve import (
     PredictionCache,
     PreparedRequestCache,
     ShardedEngine,
-    WorkerRouter,
     graph_to_json,
     make_server,
     query_to_json,
 )
 from repro.serve.http import MAX_FEEDBACK_RECORDS
-from repro.sql.query import UDFRole
 from repro.stats import ActualCardinalityEstimator, StatisticsCatalog
 from tests.test_obs import assert_histograms_coherent, parse_prometheus
-from tests.test_serving import make_udf_query, synthetic_graphs
+from tests.test_serving import make_udf_query, placeable_query, synthetic_graphs
 
 MODEL_NAME = "contract"
 
 
 def _make_model() -> CostGNN:
-    # float64 so cross-process parity checks are tight
+    # float64 so parity checks against the in-process model are tight
     model = CostGNN(GNNConfig(hidden_dim=8, dtype="float64", seed=1))
     model.eval()
     return model
-
-
-def placeable_query(bench):
-    """The first UDF-filter query of ``bench``: one the advisor places."""
-    return next(
-        entry.query
-        for entry in bench.entries
-        if entry.query.has_udf and entry.query.udf.role is UDFRole.FILTER
-    )
 
 
 def wait_for_trace(trace_id: str, timeout_s: float = 2.0) -> tracing.Trace:
@@ -121,33 +106,26 @@ def advisor_parts(tiny_bench):
     return StatisticsCatalog(database), ActualCardinalityEstimator(database)
 
 
-@pytest.fixture(scope="module", params=["engine", "router"])
-def server(request, published, advisor_parts, tmp_path_factory):
+@pytest.fixture(scope="module")
+def server(published, advisor_parts, tmp_path_factory):
     root, model, ref = published
-    if request.param == "router":
-        backend = WorkerRouter(root, MODEL_NAME, workers=2, heartbeat_interval_s=0.25)
-    else:
-        backend = ShardedEngine(
-            model,
-            shards=1,
-            max_batch_size=16,
-            request_cache=PreparedRequestCache(),
-            prediction_cache=PredictionCache(),
-        )
+    engine = ShardedEngine(
+        model,
+        shards=1,
+        max_batch_size=16,
+        request_cache=PreparedRequestCache(),
+        prediction_cache=PredictionCache(),
+    )
     catalog, estimator = advisor_parts
     feedback = FeedbackLog(tmp_path_factory.mktemp("contract-feedback"))
     service = AdvisorService(
-        backend, catalog=catalog, estimator=estimator, feedback=feedback
+        engine, catalog=catalog, estimator=estimator, feedback=feedback
     )
     server = make_server(service, registry=ModelRegistry(root), model_ref=ref)
     server.serve_in_background()
     yield server
-    assert server.drain() == 0
+    server.drain()
     feedback.close()
-
-
-def routed(server) -> bool:
-    return isinstance(server.engine, WorkerRouter)
 
 
 class TestContract:
@@ -219,28 +197,20 @@ class TestContract:
         assert status == 200 and body["accepted"] == 1
         assert feedback.appended == before + 2
 
-    def test_healthz_reports_state_and_workers(self, server):
+    def test_healthz_reports_state(self, server):
         status, headers, body = call(server, "GET", "/healthz")
         assert status == 200
         assert body["status"] == "ready"
         assert body["model"] == f"{MODEL_NAME}@v1"
         assert headers["X-Request-Id"]  # generated when absent
-        if routed(server):
-            assert body["workers"] == 2 and body["alive"] == 2
-        else:
-            assert "workers" not in body
 
     def test_stats_sections(self, server):
         status, _, stats = call(server, "GET", "/stats")
         assert status == 200
         assert stats["health"]["state"] == "ready"
         assert "prepared_hits" in stats["caches"]["request"]
-        if routed(server):
-            assert stats["engine"]["workers"] == 2
-            assert "dispatched" in stats["engine"]["stats"]
-        else:
-            assert "hit_rate" in stats["caches"]["prediction"]
-            assert "batches" in stats["engine"]["stats"]
+        assert "hit_rate" in stats["caches"]["prediction"]
+        assert "batches" in stats["engine"]["stats"]
 
     def test_metrics_exposition_parses(self, server):
         graphs = synthetic_graphs(3, seed=30)
@@ -260,21 +230,6 @@ class TestContract:
             for lab, _ in samples["repro_http_requests_total"]
         }
         assert ("/predict", "200") in routes
-        scopes = {lab.get("scope") for lab, _ in samples["repro_engine_requests_total"]}
-        cache_scopes = {
-            lab.get("scope") for lab, _ in samples["repro_cache_events_total"]
-        }
-        if routed(server):
-            assert types["repro_router_decisions_total"] == "counter"
-            assert samples["repro_router_workers"][0][1] == 2.0
-            # worker-side engines aggregate under scope="workers", the
-            # router's own payload tier under scope="frontend"
-            assert scopes == {"workers"}
-            assert "frontend" in cache_scopes
-            assert "repro_engine_dispatched_total" not in samples
-        else:
-            assert scopes == {None}
-            assert "repro_router_workers" not in samples
 
     def test_request_id_echo(self, server):
         status, headers, _ = send(
@@ -325,14 +280,7 @@ class TestContract:
         trace = wait_for_trace(trace_id)
         stages = trace.breakdown()
         assert "http.decode" in stages
-        if routed(server):
-            assert "router.dispatch" in stages
-            assert "wire.roundtrip" in stages
-            assert "worker.engine" in stages  # nested, from the reply frame
-            # the worker echoed the client's trace id across the frame
-            assert trace.tags["worker.trace_id"] == trace_id
-        else:
-            assert "engine.wait" in stages
+        assert "engine.wait" in stages
         total = trace.total_seconds()
         covered = trace.top_level_seconds()
         assert covered <= total + 1e-6
@@ -340,45 +288,6 @@ class TestContract:
             f"top-level spans cover {covered * 1e3:.2f}ms of "
             f"{total * 1e3:.2f}ms e2e"
         )
-
-
-class TestRouterHealth:
-    def test_worker_loss_and_respawn_drive_healthz(self, published):
-        root, _, ref = published
-        router = WorkerRouter(root, MODEL_NAME, workers=2, supervise=False)
-        service = AdvisorService(router, catalog=None, estimator=None)
-        server = make_server(service, model_ref=ref)
-        server.serve_in_background()
-
-        def healthz_once_alive_is(alive: int):
-            deadline = time.monotonic() + 30
-            while True:
-                status, headers, body = call(server, "GET", "/healthz")
-                if body["alive"] == alive or time.monotonic() > deadline:
-                    return status, headers, body
-                time.sleep(0.05)
-
-        try:
-            status, _, body = call(server, "GET", "/healthz")
-            assert (status, body["status"], body["alive"]) == (200, "ready", 2)
-            # die like a segfault: no reply, raw EOF on the socket
-            router._handles[0].client.request({"op": "crash"})
-            status, _, body = healthz_once_alive_is(1)
-            assert (status, body["status"], body["workers"]) == (200, "degraded", 2)
-            router._handles[1].client.request({"op": "crash"})
-            status, headers, body = healthz_once_alive_is(0)
-            # nothing can answer: balancers must stop routing here
-            assert (status, body["status"]) == (503, "starting")
-            assert headers["Retry-After"]
-            # what the supervisor does on its next sweep
-            router._respawn(0)
-            router._respawn(1)
-            status, _, body = call(server, "GET", "/healthz")
-            assert body["alive"] == 2
-            # restarted within the grace window: answering, but degraded
-            assert (status, body["status"], body["restarts"]) == (200, "degraded", 2)
-        finally:
-            assert server.drain() == 0
 
 
 # ======================================================================

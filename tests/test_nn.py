@@ -216,11 +216,14 @@ class TestOptim:
         assert abs(x.data[0]) < 1e-2
 
     def test_clip_grad_norm(self):
-        x = Tensor(np.ones(4), requires_grad=True)
-        x.grad = np.full(4, 10.0)
-        norm = clip_grad_norm([x], max_norm=1.0)
-        assert norm == pytest.approx(20.0)
-        assert np.linalg.norm(x.grad) == pytest.approx(1.0)
+        # the float32 case squares to inf in float32: it must be scaled
+        # down to max_norm, not zeroed by a 0 scale
+        for dtype, value in ((np.float64, 10.0), (np.float32, 1e20)):
+            x = Tensor(np.ones(4, dtype=dtype), requires_grad=True)
+            x.grad = np.full(4, value, dtype=dtype)
+            norm = clip_grad_norm([x], max_norm=1.0)
+            assert norm == pytest.approx(2 * value)
+            assert np.linalg.norm(x.grad) == pytest.approx(1.0)
 
     def test_weight_decay_shrinks(self):
         x = Tensor(np.array([1.0]), requires_grad=True)

@@ -3,13 +3,10 @@
 Covers the PR-9 stack bottom-up: the metrics registry (bucket math
 pinned to Prometheus ``le`` semantics, per-thread shard merging, the
 ``REPRO_OBS`` gate), the exposition encoder against a minimal
-Prometheus-text parser, tracing (span taxonomy, nested exclusion,
-sampling and the slow-request log), and engine/worker/router span
-wiring — including the pin that a trace survives the router→worker
-frame round-trip through one-shot graph resend *and* retry-on-peer.
-The HTTP front end's ``/metrics``, ``X-Request-Id`` echo, and the
-span-breakdown-sums-to-e2e acceptance gate are pinned over both scoring
-backends in ``tests/test_http_contract.py``.
+Prometheus-text parser, tracing (span taxonomy, sampling and the
+slow-request log), and the engine's span wiring. The HTTP front end's
+``/metrics``, ``X-Request-Id`` echo, and the span-breakdown-sums-to-e2e
+acceptance gate are pinned in ``tests/test_http_contract.py``.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import multiprocessing
 import re
 import threading
 import time
@@ -32,15 +28,10 @@ from repro.obs import clock, export, metrics, tracing
 from repro.serve import (
     CircuitBreaker,
     DegradedFallback,
-    ModelRegistry,
     PredictionCache,
     PreparedRequestCache,
     ShardedEngine,
-    WorkerRouter,
 )
-from repro.serve.worker import ServingWorker, WorkerConfig
-
-SPAWN = multiprocessing.get_context("spawn")
 
 
 def synthetic_graphs(n_graphs: int, seed: int = 0) -> list[JointGraph]:
@@ -140,9 +131,9 @@ class TestClockSeam:
         # busy_seconds (engine) and deadlines (resilience) historically
         # used different clocks; both must now sit on the obs seam
         from repro.feedback import collector
-        from repro.serve import engine, resilience, router, worker
+        from repro.serve import engine, resilience
 
-        for module in (engine, resilience, router, worker):
+        for module in (engine, resilience):
             assert module.clock is clock, module.__name__
         assert collector.tracing.clock is clock
         assert clock.monotonic is time.monotonic
@@ -280,22 +271,6 @@ class TestTracing:
         assert trace.finished is not None
         assert set(trace.breakdown()) == {"model.forward", "queue.wait"}
         assert trace.breakdown()["queue.wait"] == 0.25
-
-    def test_nested_spans_excluded_from_top_level_sum(self):
-        with tracing.trace_request() as trace:
-            tracing.observe_stage("wire.roundtrip", 1.0)
-            tracing.observe_stage("worker.engine", 0.9, nested=True)
-        assert trace.top_level_seconds() == 1.0
-        assert trace.breakdown()["worker.engine"] == 0.9
-
-    def test_wire_roundtrip_preserves_ids(self):
-        trace = tracing.Trace("tid-1", "rid-1")
-        wire = tracing.to_wire(trace)
-        assert wire == {"trace_id": "tid-1", "request_id": "rid-1"}
-        back = tracing.from_wire(wire)
-        assert back.trace_id == "tid-1" and back.request_id == "rid-1"
-        assert tracing.to_wire(None) is None
-        assert tracing.from_wire(None) is None
 
     def test_trace_request_disabled_yields_none(self):
         previous = metrics.set_enabled(False)
@@ -477,148 +452,3 @@ class TestExportSamples:
         )
         samples, _ = parse_prometheus(text)
         assert samples["repro_cache_invalidations_total"][0][1] == 1.0
-
-
-# ======================================================================
-# cross-process propagation: worker frames, resend, retry-on-peer
-# ======================================================================
-@pytest.fixture(scope="module")
-def mp_setup(tmp_path_factory):
-    root = tmp_path_factory.mktemp("obs-registry")
-    model = _make_model()
-    ModelRegistry(root).publish("mp", model)
-    return str(root), model
-
-
-@pytest.fixture(scope="module")
-def router(mp_setup):
-    root, _ = mp_setup
-    with WorkerRouter(root, "mp", workers=2, heartbeat_interval_s=0.25) as r:
-        yield r
-
-
-class TestWorkerFrameTrace:
-    @pytest.fixture(scope="class")
-    def worker(self, mp_setup):
-        root, _ = mp_setup
-        w = ServingWorker(
-            WorkerConfig(
-                worker_id=0,
-                registry_root=root,
-                model_name="mp",
-                model_version=1,
-            )
-        )
-        yield w
-        w.engine.close()
-
-    def test_traced_frame_echoes_trace_id_and_stages(self, worker):
-        graphs = synthetic_graphs(2, seed=7)
-        response = worker.handle(
-            {
-                "op": "score",
-                "id": 1,
-                "items": [(f"fp-t{i}", g) for i, g in enumerate(graphs)],
-                "trace": {"trace_id": "tid-frame", "request_id": "rid-frame"},
-            }
-        )
-        assert response["ok"]
-        assert response["trace_id"] == "tid-frame"
-        stages = response["stages"]
-        assert stages["worker.engine"] > 0
-        # the worker-local trace captured the engine-internal stages too
-        assert "engine.wait" in stages
-
-    def test_untraced_frame_has_no_trace_keys(self, worker):
-        # backward compatibility: the trace field is optional, and its
-        # absence must leave the response shape exactly as before
-        graphs = synthetic_graphs(1, seed=8)
-        response = worker.handle(
-            {"op": "score", "id": 2, "items": [("fp-u0", graphs[0])]}
-        )
-        assert response["ok"]
-        assert "trace_id" not in response
-        assert "stages" not in response
-
-
-class TestRouterTrace:
-    def test_trace_survives_frame_roundtrip(self, router):
-        graphs = synthetic_graphs(6, seed=9)
-        with tracing.trace_request() as trace:
-            outcome = router.score_resilient(graphs)
-        assert all(s == "ok" for s in outcome.statuses)
-        stages = trace.breakdown()
-        assert "router.dispatch" in stages
-        assert "wire.roundtrip" in stages
-        # the worker's breakdown rode back on the reply frame, nested
-        assert "worker.engine" in stages
-        nested = [s for s in trace.spans if s.nested]
-        assert any(s.name == "worker.engine" for s in nested)
-        # the worker echoed the router's trace id — same trace end to end
-        assert trace.tags["worker.trace_id"] == trace.trace_id
-        assert "worker.epoch" in trace.tags
-
-    def test_one_shot_resend_reuses_original_trace_id(self, router, mp_setup):
-        """The unknown-fingerprint resend is a second frame for the same
-        request; it must carry the *original* trace context, not mint a
-        new one."""
-        _, model = mp_setup
-        graphs = synthetic_graphs(4, seed=10)
-        fps = router.request_cache.fingerprints(graphs)
-        for handle in router._handles:
-            handle.mark_known(fps)  # a lie: the workers never saw these
-        before = router.stats.unknown_resends
-        with tracing.trace_request(trace_id="tid-resend") as trace:
-            values = router.score(graphs)
-        assert router.stats.unknown_resends > before
-        assert np.isfinite(values).all()
-        # both the first reply and the resend reply echoed the same id
-        assert trace.tags["worker.trace_id"] == "tid-resend"
-        # two worker.engine recordings: the original frame + the resend
-        engine_spans = [s for s in trace.spans if s.name == "worker.engine"]
-        assert len(engine_spans) >= 2
-
-    def test_retry_on_peer_keeps_the_trace(self, mp_setup):
-        root, _ = mp_setup
-        with WorkerRouter(
-            root, "mp", workers=2, heartbeat_interval_s=0.2
-        ) as own:
-            graphs = synthetic_graphs(8, seed=11)
-            own.score(graphs)  # warm
-            victim = own._handles[0]
-            send_group = own._send_group
-
-            def crash_then_send(handle, *args):
-                # the crash frame precedes the score frame on the same
-                # socket, so the worker dies with the score in flight;
-                # crashing it before routing raced the router seeing the
-                # EOF and routing around the dead worker (no retry)
-                if handle is victim:
-                    handle.client.request({"op": "crash"})
-                return send_group(handle, *args)
-
-            own._send_group = crash_then_send
-            before = own.stats.retries
-            with tracing.trace_request(trace_id="tid-retry") as trace:
-                outcome = own.score_resilient(graphs)
-            assert all(s == "ok" for s in outcome.statuses)
-            assert own.stats.retries > before
-            # the retry frame reused the original trace context
-            assert trace.tags["worker.trace_id"] == "tid-retry"
-            assert "wire.roundtrip" in trace.breakdown()
-
-    def test_affinity_vs_spill_decisions_counted(self, router):
-        graphs = synthetic_graphs(4, seed=12)
-        before = router.stats.affinity + router.stats.spills
-        router.score(graphs)
-        assert router.stats.affinity + router.stats.spills > before
-        text = metrics.render(
-            export.router_samples(router, include_workers=False)
-        )
-        samples, _ = parse_prometheus(text)
-        decisions = {
-            lab["decision"]: val
-            for lab, val in samples["repro_router_decisions_total"]
-        }
-        assert set(decisions) == {"affinity", "spill"}
-        assert decisions["affinity"] == router.stats.affinity

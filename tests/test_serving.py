@@ -3,13 +3,16 @@
 The engine tests exercise real concurrency (threads submitting while the
 worker flushes) but stay fast by using tiny synthetic DAGs; the parity
 tests pin the online advisor to the offline one on the deterministic
-handmade database.
+handmade database. The registry's cross-process safety (O_EXCL version
+claims, quarantine-and-skip under concurrent loaders) is exercised with
+real spawned processes, and ``scripts/serve.py`` is driven end to end.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import multiprocessing
 import os
 import signal
 import threading
@@ -22,14 +25,17 @@ import numpy as np
 import pytest
 
 from repro.advisor import SELECTIVITY_LEVELS, PullUpAdvisor
+from repro.bench import build_dataset_benchmark
 from repro.core import encoding as enc
 from repro.core.joint_graph import JointGraph
 from repro.exceptions import ReproError, ServingError
-from repro.model import CostGNN, GNNConfig, PreparedGraphCache, predict_runtimes
+from repro.feedback import FeedbackLog
+from repro.model import CostGNN, GNNConfig, predict_runtimes
 from repro.serve import (
     AdvisorService,
     MicroBatchEngine,
     ModelRegistry,
+    ShardedEngine,
     graph_from_json,
     graph_to_json,
     make_server,
@@ -42,6 +48,7 @@ from repro.sql import (
     FilterSpec,
     JoinSpec,
     Query,
+    UDFRole,
     UDFSpec,
 )
 from repro.stats import ActualCardinalityEstimator, StatisticsCatalog
@@ -163,9 +170,7 @@ class TestMicroBatchEngine:
     def test_concurrent_requests_match_serial(self, model):
         graphs = synthetic_graphs(48)
         serial = predict_runtimes(model, graphs)
-        with MicroBatchEngine(
-            model, max_batch_size=16, cache=PreparedGraphCache()
-        ) as engine:
+        with MicroBatchEngine(model, max_batch_size=16) as engine:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 concurrent = list(
                     pool.map(lambda g: engine.submit(g).result(), graphs)
@@ -175,12 +180,7 @@ class TestMicroBatchEngine:
     def test_flush_on_max_batch_size(self, model):
         graphs = synthetic_graphs(32, seed=1)
         # max_wait far beyond the test budget: only a full batch flushes
-        with MicroBatchEngine(
-            model,
-            max_batch_size=32,
-            max_wait_us=60e6,
-            cache=PreparedGraphCache(),
-        ) as engine:
+        with MicroBatchEngine(model, max_batch_size=32, max_wait_us=60e6) as engine:
             futures = engine.submit_many(graphs)
             values = [f.result(timeout=30) for f in futures]
         assert engine.stats.size_flushes >= 1
@@ -190,12 +190,7 @@ class TestMicroBatchEngine:
 
     def test_flush_on_max_wait(self, model):
         graphs = synthetic_graphs(3, seed=2)
-        with MicroBatchEngine(
-            model,
-            max_batch_size=64,
-            max_wait_us=1000.0,
-            cache=PreparedGraphCache(),
-        ) as engine:
+        with MicroBatchEngine(model, max_batch_size=64, max_wait_us=1000.0) as engine:
             futures = engine.submit_many(graphs)
             values = [f.result(timeout=30) for f in futures]
         # 3 < 64 requests: only the max-wait timer can have flushed them
@@ -205,9 +200,7 @@ class TestMicroBatchEngine:
 
     def test_batched_equals_joint_prediction(self, model):
         graphs = synthetic_graphs(20, seed=3)
-        with MicroBatchEngine(
-            model, max_batch_size=64, cache=PreparedGraphCache()
-        ) as engine:
+        with MicroBatchEngine(model, max_batch_size=64) as engine:
             batched = engine.predict(graphs)
         np.testing.assert_allclose(
             batched, predict_runtimes(model, graphs), rtol=1e-9
@@ -221,9 +214,7 @@ class TestMicroBatchEngine:
         cyclic.add_edge(a, b)
         cyclic.add_edge(b, a)
         cyclic.root_id = b
-        with MicroBatchEngine(
-            model, max_batch_size=8, cache=PreparedGraphCache()
-        ) as engine:
+        with MicroBatchEngine(model, max_batch_size=8) as engine:
             futures = engine.submit_many(graphs[:2] + [cyclic] + graphs[2:])
             good = [futures[i] for i in (0, 1, 3, 4)]
             values = [f.result(timeout=30) for f in good]
@@ -236,9 +227,7 @@ class TestMicroBatchEngine:
 
     def test_closed_engine_rejects_and_drains(self, model):
         graphs = synthetic_graphs(6, seed=5)
-        engine = MicroBatchEngine(
-            model, max_batch_size=4, cache=PreparedGraphCache()
-        )
+        engine = MicroBatchEngine(model, max_batch_size=4)
         futures = engine.submit_many(graphs)
         engine.close()
         assert all(f.done() for f in futures)  # drained, not dropped
@@ -247,16 +236,14 @@ class TestMicroBatchEngine:
         engine.close()  # idempotent
 
     def test_describe_shape(self, model):
-        with MicroBatchEngine(
-            model, max_batch_size=8, cache=PreparedGraphCache()
-        ) as engine:
+        with MicroBatchEngine(model, max_batch_size=8) as engine:
             engine.predict(synthetic_graphs(4, seed=6))
             info = engine.describe()
         assert info["max_batch_size"] == 8
         assert info["stats"]["requests"] == 4
         assert info["stats"]["predictions"] == 4
         assert info["stats"]["mean_batch_size"] > 0
-        assert info["graph_cache"]["entries"] == 4
+        assert info["request_cache"]["prepared_entries"] == 4
 
 
 # ======================================================================
@@ -289,9 +276,7 @@ def make_udf_query() -> Query:
 
 @pytest.fixture()
 def serving_setup(handmade_db, model):
-    engine = MicroBatchEngine(
-        model, max_batch_size=32, cache=PreparedGraphCache()
-    )
+    engine = ShardedEngine(model, shards=1, max_batch_size=32)
     catalog = StatisticsCatalog(handmade_db)
     estimator = ActualCardinalityEstimator(handmade_db)
     service = AdvisorService(engine, catalog=catalog, estimator=estimator)
@@ -531,3 +516,129 @@ class TestGracefulShutdown:
         server.drain()
         with pytest.raises(ServingError):
             server.engine.submit(synthetic_graphs(1)[0])
+
+
+# ======================================================================
+# cross-process registry safety
+# ======================================================================
+SPAWN = multiprocessing.get_context("spawn")
+
+
+def _race_publish(root: str, barrier, queue) -> None:
+    from repro.model import CostGNN, GNNConfig
+    from repro.serve import ModelRegistry
+
+    model = CostGNN(GNNConfig(hidden_dim=8))
+    barrier.wait(timeout=30)
+    version = ModelRegistry(root).publish("race", model)
+    queue.put(version.version)
+
+
+def _race_load(root: str, barrier, queue) -> None:
+    from repro.serve import ModelRegistry
+
+    registry = ModelRegistry(root)
+    barrier.wait(timeout=30)
+    model, version = registry.load_serving("corrupt")
+    queue.put((version.version, sorted(registry.quarantined)))
+
+
+class TestCrossProcessRegistry:
+    def test_concurrent_publishers_claim_distinct_versions(self, tmp_path):
+        """Two processes publishing into the same root must bump past
+        each other via the O_EXCL claim — never overwrite an artifact."""
+        barrier = SPAWN.Barrier(2)
+        queue = SPAWN.Queue()
+        procs = [
+            SPAWN.Process(target=_race_publish, args=(str(tmp_path), barrier, queue))
+            for _ in range(2)
+        ]
+        for p in procs:
+            p.start()
+        versions = {queue.get(timeout=60) for _ in procs}
+        for p in procs:
+            p.join(timeout=30)
+            assert p.exitcode == 0
+        assert versions == {1, 2}
+        registry = ModelRegistry(tmp_path)
+        for version in versions:
+            assert registry.load("race", version) is not None
+
+    def test_concurrent_loaders_quarantine_and_skip_corrupt_artifact(self, tmp_path):
+        """A corrupted newest version must not take down *any* loader:
+        every racing process quarantines it and serves the predecessor."""
+        registry = ModelRegistry(tmp_path)
+        registry.publish("corrupt", CostGNN(GNNConfig(hidden_dim=8, seed=2)))
+        v2 = registry.publish("corrupt", CostGNN(GNNConfig(hidden_dim=8, seed=3)))
+        artifact = tmp_path / "corrupt" / f"v{v2.version:04d}.npz"
+        artifact.write_bytes(b"not an archive")
+        barrier = SPAWN.Barrier(2)
+        queue = SPAWN.Queue()
+        procs = [
+            SPAWN.Process(target=_race_load, args=(str(tmp_path), barrier, queue))
+            for _ in range(2)
+        ]
+        for p in procs:
+            p.start()
+        results = [queue.get(timeout=60) for _ in procs]
+        for p in procs:
+            p.join(timeout=30)
+            assert p.exitcode == 0
+        for version, quarantined in results:
+            assert version == 1
+            assert "corrupt@v2" in quarantined
+
+
+# ======================================================================
+# scripts/serve.py end to end
+# ======================================================================
+def placeable_query(bench):
+    """The first UDF-filter query of ``bench``: one the advisor places."""
+    return next(
+        entry.query
+        for entry in bench.entries
+        if entry.query.has_udf and entry.query.udf.role is UDFRole.FILTER
+    )
+
+
+def _post_json(url: str, payload: dict) -> dict:
+    request = urllib.request.Request(url, data=json.dumps(payload).encode())
+    with urllib.request.urlopen(request, timeout=60) as response:
+        return json.loads(response.read())
+
+
+class TestServeScript:
+    def test_advise_and_feedback_round_trip_then_clean_drain(self, model, tmp_path):
+        registry_dir = str(tmp_path / "registry")
+        ModelRegistry(registry_dir).publish("served", model)
+        serve_script = _load_serve_script()
+        args = serve_script.parse_args(
+            ["--registry-dir", registry_dir, "--model", "served"]
+            + ["--dataset", "imdb", "--queries", "6", "--port", "0"]
+        )
+        server, _, version = serve_script.build_service(args)
+        assert isinstance(server.engine, ShardedEngine)
+        assert version.ref == "served@v1"
+        # the script attaches no feedback log; /feedback records into
+        # whichever log the service holds
+        feedback = FeedbackLog(tmp_path / "feedback")
+        server.service.feedback = feedback
+        server.serve_in_background()
+        try:
+            bench = build_dataset_benchmark("imdb", n_queries=6, seed=args.seed)
+            query = placeable_query(bench)
+            request = {"query": query_to_json(query)}
+            decision = _post_json(f"{server.url}/advise", request)
+            offline = PullUpAdvisor(
+                model=model,
+                catalog=server.service.catalog,
+                estimator=server.service.estimator,
+            )
+            assert decision["pull_up"] == offline.decide(query).pull_up
+            report = {"decision_id": decision["decision_id"], "observed": 2.5}
+            accepted = _post_json(f"{server.url}/feedback", report)
+            assert accepted["accepted"] == 1
+        finally:
+            server.drain()
+            feedback.close()
+        assert feedback.appended == 1
