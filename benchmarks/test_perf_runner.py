@@ -1,7 +1,6 @@
-"""Distributed-runner perf + chaos gates -> BENCH_runner.json.
+"""Distributed-runner perf + chaos gates (DESIGN.md §16).
 
-The gates are the PR's acceptance criteria for DESIGN.md §16, not raw
-throughput numbers:
+The gates are acceptance criteria, not raw throughput numbers:
 
 * **scaling** — a sweep of sleep+compute demo tasks completes >= 1.8x
   faster with 2 runners than with 1 (the workload is latency-dominated,
@@ -14,8 +13,9 @@ throughput numbers:
 * **poison isolation** — a task that keeps raising is quarantined with
   its traceback while every healthy task still completes.
 
-Marked both ``perf`` and ``chaos``: excluded from tier-1, picked up by
-``scripts/bench.sh`` (selection pinned by ``tests/test_ci_config.py``).
+Marked ``perf``: the scaling ratio is timed, so the suite stays out of
+tier-1 and runs in CI's ``python -m pytest -m perf`` step (pinned by
+``tests/test_ci_config.py``). Run with ``-s`` to print the measurements.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import pickle
 import time
-from pathlib import Path
 
 import pytest
 
@@ -38,10 +37,7 @@ from repro.eval.runner import (
     run_sweep_local,
 )
 
-pytestmark = [pytest.mark.perf, pytest.mark.chaos]
-
-ROOT = Path(__file__).resolve().parent.parent
-BENCH_PATH = ROOT / "BENCH_runner.json"
+pytestmark = pytest.mark.perf
 
 #: latency-dominated demo workload: the sleep parallelizes on any host
 #: (CI runners included), the small compute keeps results non-trivial
@@ -174,7 +170,5 @@ def test_runner_scaling_chaos_and_quarantine(tmp_path):
     tb = (sweep.quarantine_dir / record["traceback_file"]).read_text()
     assert "ValueError" in tb
 
-    BENCH_PATH.write_text(json.dumps(results, indent=2, sort_keys=True))
-    print(f"\nwrote {BENCH_PATH}")
-    print(json.dumps(results["speedup"], sort_keys=True))
-    print(json.dumps(results["chaos"], sort_keys=True))
+    print()
+    print(json.dumps(results, indent=2, sort_keys=True))

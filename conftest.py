@@ -4,7 +4,7 @@ A committed `.bench_cache/` pickle ships stale experiment results to
 every fresh checkout (the Fig. 7 poisoning incident, DESIGN.md §7) —
 refuse to run rather than let paper-shape assertions test old code's
 outputs. Lives at the repo root so benchmark-only invocations (e.g.
-`scripts/bench.sh`) are protected too.
+`python -m pytest benchmarks`) are protected too.
 """
 
 from __future__ import annotations

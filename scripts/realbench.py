@@ -22,7 +22,11 @@ model serves placement decisions and ``observe_benchmark`` records the
     pip install -e ".[duckdb]"
     PYTHONPATH=src python scripts/realbench.py --queries 200
 
-Requires the ``duckdb`` extra; exits with a pointed message otherwise.
+Exits 1 when a check of :func:`verdict` fails: fewer plans executed than
+queries asked for, COUNT(*) parity below 100%, no UDF invocation inside
+DuckDB, feedback records missing or untagged, or no Spearman value over
+every plan. Requires the ``duckdb`` extra; exits 2 with a pointed
+message otherwise.
 """
 
 from __future__ import annotations
@@ -281,6 +285,37 @@ def run_realbench(config: RealbenchConfig) -> dict:
     }
 
 
+def verdict(report: dict, config: RealbenchConfig) -> list[str]:
+    """The checks ``report`` fails; empty when the simulator's labels
+    held up against DuckDB and real runtimes reached the feedback log."""
+    failures = []
+    executed = report["workload"]["n_plans_executed"]
+    if executed < config.n_queries:
+        failures.append(f"only {executed} plans executed, want {config.n_queries}")
+    parity = report["count_parity"]
+    if parity["parity_rate"] < 1.0:
+        failures.append(
+            f"COUNT(*) parity {parity['parity_rate']:.3f}: {parity['mismatches']}"
+        )
+    if parity["udf_invocations"] <= 0:
+        failures.append("no Python UDF ran inside DuckDB")
+    feedback = report["feedback"]
+    if feedback["n_records"] == 0:
+        failures.append("the feedback log received no records")
+    elif feedback["backend_tagged"] != feedback["n_records"]:
+        failures.append(
+            f"{feedback['n_records'] - feedback['backend_tagged']} feedback "
+            "record(s) lack backend=duckdb"
+        )
+    overall = report["fidelity"]["spearman_overall"]
+    if overall["n"] < config.n_queries or overall["rho"] is None:
+        failures.append(
+            f"Spearman over {overall['n']} plans (rho {overall['rho']}), "
+            f"want at least {config.n_queries} and a value"
+        )
+    return failures
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--queries", type=int, default=200)
@@ -321,7 +356,10 @@ def main(argv: list[str] | None = None) -> int:
         f"count parity {parity:.3f}, spearman rho "
         f"{rho if rho is None else round(rho, 3)}"
     )
-    return 0
+    failures = verdict(report, config)
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

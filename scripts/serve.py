@@ -23,6 +23,7 @@ import argparse
 import os
 import signal
 
+from repro import faults
 from repro.bench import build_dataset_benchmark
 from repro.eval import prepare_dataset_samples, training_placements
 from repro.model import GNNConfig, GracefulModel, TrainConfig
@@ -36,7 +37,6 @@ from repro.serve import (
     ShardedEngine,
     make_server,
 )
-from repro.serve import faults
 from repro.stats import StatisticsCatalog, make_estimator
 
 

@@ -21,7 +21,7 @@ sweep warms the exact cache entry ``run_folds``/``run_ablation`` reads.
 **Chaos mode** (``--chaos quick|storm``) arms the scenario book: runner
 processes are SIGKILLed while provably holding a lease and in-process
 faults (injected errors, heartbeat freezes) are armed via
-``repro.serve.faults`` — then the report asserts the durability
+``repro.faults`` — then the report asserts the durability
 contract: zero lost tasks, reclaims observed, and (for demo tasks)
 results identical to a serial execution of the same task list::
 

@@ -35,7 +35,7 @@ Task state machine (every transition is one atomic file operation)::
     running ── lease expires (runner died) ───▶ pending (reclaim)
     pending ── reclaims > max_reclaims ───────▶ quarantined
 
-Fault sites for the chaos harness (``repro.serve.faults``):
+Fault sites for the chaos harness (``repro.faults``):
 ``task.claim`` (claim scans), ``runner.heartbeat`` (lease renewal),
 ``runner.task`` (task execution), ``store.write`` (result publishing) —
 all with the error/delay/crash kinds; a ``crash`` kills the runner
@@ -58,6 +58,7 @@ import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro import faults
 from repro.eval.resultstore import (
     ResultStore,
     atomic_write_json,
@@ -85,14 +86,6 @@ __all__ = [
     "run_sweep_local",
     "task_kinds",
 ]
-
-
-def _fire(site: str) -> None:
-    """Fire a fault site (deferred import: serve pulls heavy modules and
-    imports this package back through the registry)."""
-    from repro.serve import faults
-
-    faults.fire(site)
 
 
 class RunnerCrashed(RuntimeError):
@@ -561,7 +554,7 @@ class _Heartbeat(threading.Thread):
     def run(self) -> None:
         while not self.stop_event.wait(self.interval):
             try:
-                _fire("runner.heartbeat")
+                faults.fire("runner.heartbeat")
                 doc = read_json(self.lease_path)
                 if doc is None or doc.get("token") != self.token:
                     self.lost.set()
@@ -648,7 +641,7 @@ class Runner:
 
     def claim(self) -> tuple[TaskSpec, str] | None:
         """Claim one runnable task; ``(spec, lease_token)`` or None."""
-        _fire("task.claim")
+        faults.fire("task.claim")
         now = time.time()
         if self._specs is None:
             self._specs = self.sweep.tasks()
@@ -693,7 +686,7 @@ class Runner:
 
     # -- execution -----------------------------------------------------
     def _store_result(self, spec: TaskSpec, result) -> None:
-        _fire("store.write")
+        faults.fire("store.write")
         self.sweep.result_store.store(
             "task",
             spec.fingerprint,
@@ -710,7 +703,7 @@ class Runner:
         heartbeat.start()
         started = time.time()
         try:
-            _fire("runner.task")
+            faults.fire("runner.task")
             kind_fn = _TASK_KINDS.get(spec.kind)
             if kind_fn is None:
                 raise RunnerCrashed(f"unknown task kind {spec.kind!r}")
@@ -795,12 +788,10 @@ def _runner_process_main(
 ) -> None:
     """Child-process entry: run one Runner to sweep completion.
 
-    A :class:`~repro.serve.faults.WorkerCrash` (injected) exits via
+    A :class:`~repro.faults.WorkerCrash` (injected) exits via
     ``os._exit`` — no lease release, no atexit, exactly like an OOM
     kill; the sweep recovers through lease expiry.
     """
-    from repro.serve import faults
-
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the driver tears down
     if fault_spec:
         faults.install(fault_spec)

@@ -3,9 +3,9 @@ and the distributed experiment runner (DESIGN.md §16).
 
 Robustness claims are only as good as the failures they were tested
 against, so the resilience layer is built around *named fault sites* —
-fixed points in the serving stack where tests, ``scripts/loadtest.py
---chaos``, ``scripts/sweep.py --chaos``, and operators (via
-``$REPRO_FAULTS``) can script failures:
+fixed points in the serving stack and the runner where tests (the chaos
+scenarios of ``tests/test_load.py`` among them), ``scripts/sweep.py
+--chaos``, and operators (via ``$REPRO_FAULTS``) can script failures:
 
 ====================  =================================================
 site                  where it fires
@@ -41,7 +41,8 @@ request observes the n-th decision still depends on thread scheduling;
 tests needing exactness use probability 1.0 or capped fire counts).
 
 The hot-path cost when nothing is installed is a single module-global
-``None`` check per site.
+``None`` check per site. The module imports nothing from the packages
+it instruments, so firing a site loads no serving code.
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ def uninstall() -> None:
 
 
 def install_from_env() -> FaultInjector | None:
-    """Install from ``$REPRO_FAULTS`` when set (serve/loadtest startup)."""
+    """Install from ``$REPRO_FAULTS`` when set (server and runner startup)."""
     spec = os.environ.get("REPRO_FAULTS", "").strip()
     if not spec:
         return None

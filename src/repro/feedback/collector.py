@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import faults
 from repro.core.joint_graph import JointGraph
 from repro.eval.resultstore import SCHEMA_VERSION, feedback_dir, fingerprint
 from repro.exceptions import FeedbackError
@@ -340,10 +341,6 @@ class FeedbackLog:
         return last
 
     def _write_chunk(self, records: list[FeedbackRecord]) -> Path:
-        # imported lazily: repro.serve.__init__ imports this module, so a
-        # top-level import of a repro.serve submodule would be circular
-        from repro.serve import faults
-
         faults.fire("feedback.flush")
         with tracing.span("feedback.flush"):
             return self._write_chunk_inner(records)

@@ -16,7 +16,6 @@ from repro.model.prepared import (
     BatchCache,
     PreparedGraph,
     PreparedGraphCache,
-    clear_caches,
     default_batch_cache,
     default_graph_cache,
     prepare_graph,
@@ -48,7 +47,6 @@ __all__ = [
     "PreparedGraphCache",
     "TrainConfig",
     "TrainResult",
-    "clear_caches",
     "compute_levels",
     "default_batch_cache",
     "default_graph_cache",

@@ -2,13 +2,10 @@
 
 This module preserves, verbatim, the original pure-Python ``compute_levels``
 and ``make_batch`` that :mod:`repro.model.batching` replaced with vectorized
-numpy group-bys (DESIGN.md §8). It exists for two reasons:
-
-* the equivalence tests (``tests/test_model_batching_equiv.py``) assert that
-  the vectorized pipeline reproduces this implementation's level structure
-  byte-for-byte and its forward/backward results to float64 precision;
-* the perf benchmark (``benchmarks/test_perf_pipeline.py``) measures the
-  vectorized pipeline's speedup against this baseline.
+numpy group-bys (DESIGN.md §8). The equivalence tests
+(``tests/test_model_batching_equiv.py``) assert that the vectorized pipeline
+reproduces this implementation's level structure byte-for-byte and its
+forward/backward results to float64 precision.
 
 Do not use it in production paths — it re-runs per-node and per-edge Python
 loops on every call.

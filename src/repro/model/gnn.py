@@ -30,6 +30,10 @@ from repro.model.batching import GraphBatch
 from repro.nn.layers import MLP, Module
 from repro.nn.tensor import Tensor, concat, gather_rows, scatter_add
 
+#: the largest log runtime whose ``exp`` is finite: a diverged forward
+#: answers the largest float instead of ``inf``, which strict JSON rejects
+MAX_LOG_RUNTIME = float(np.log(np.finfo(np.float64).max))
+
 
 @dataclass
 class GNNConfig:
@@ -229,4 +233,4 @@ class CostGNN(Module):
         log_pred = self.forward(batch).data.reshape(-1).astype(np.float64)
         if was_training:
             self.train()
-        return np.exp(log_pred)
+        return np.exp(np.minimum(log_pred, MAX_LOG_RUNTIME))

@@ -464,9 +464,3 @@ def default_graph_cache() -> PreparedGraphCache:
 def default_batch_cache() -> BatchCache:
     """The process-wide assembled-batch cache (prediction chunks)."""
     return _BATCH_CACHE
-
-
-def clear_caches() -> None:
-    """Drop all cached topology (tests / memory pressure)."""
-    _GRAPH_CACHE.clear()
-    _BATCH_CACHE.clear()

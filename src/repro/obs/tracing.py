@@ -144,8 +144,9 @@ class Trace:
 _CURRENT: contextvars.ContextVar[Trace | None] = contextvars.ContextVar(
     "repro_obs_trace", default=None
 )
-#: recently finished traces, oldest first — the loadtest sampler and
-#: tests read these; bounded so an armed sampler can't grow memory
+#: recently finished traces, oldest first — tests and the
+#: observability-overhead gate read these; bounded so an armed sampler
+#: can't grow memory
 _RECENT: deque[Trace] = deque(maxlen=64)
 
 

@@ -14,9 +14,9 @@ optimization time*; this package is that serving surface (DESIGN.md §9):
 * :class:`AdvisorService` — multi-client ``suggest_placement`` sessions
   scoring every placement alternative in one micro-batch;
 * :mod:`repro.serve.http` — the stdlib JSON front end over all of it;
-* :mod:`repro.serve.resilience` / :mod:`repro.serve.faults` — deadlines,
-  circuit breaker, degraded fallback, health states, and the
-  deterministic fault-injection registry behind the chaos harness
+* :mod:`repro.serve.resilience` — deadlines, circuit breaker, degraded
+  fallback and health states; their failures are scripted through
+  :mod:`repro.faults`, the deterministic fault-injection registry
   (DESIGN.md §12).
 """
 
@@ -47,7 +47,6 @@ from repro.serve.engine import (
     default_queue_cap,
     default_shards,
 )
-from repro.serve.faults import FaultInjector, InjectedFault, WorkerCrash
 from repro.serve.http import ServingServer, make_server
 from repro.serve.registry import ModelRegistry, ModelVersion
 from repro.serve.resilience import (
@@ -62,9 +61,7 @@ __all__ = [
     "CircuitBreaker",
     "DegradedFallback",
     "EngineStats",
-    "FaultInjector",
     "HealthMonitor",
-    "InjectedFault",
     "MicroBatchEngine",
     "ModelRegistry",
     "ModelVersion",
@@ -74,7 +71,6 @@ __all__ = [
     "ServingServer",
     "SessionStats",
     "ShardedEngine",
-    "WorkerCrash",
     "decision_to_json",
     "default_queue_cap",
     "default_shards",

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field, fields as dataclass_fields
 
 import numpy as np
 
+from repro import faults
 from repro.core.joint_graph import JointGraph
 from repro.exceptions import (
     DeadlineExceeded,
@@ -53,7 +54,6 @@ from repro.exceptions import (
 from repro.model.batching import make_batch_prepared
 from repro.model.gnn import CostGNN
 from repro.obs import clock, metrics, tracing
-from repro.serve import faults
 from repro.serve.cache import PredictionCache, PreparedRequestCache
 from repro.serve.resilience import (
     CircuitBreaker,
@@ -498,7 +498,6 @@ class ShardedEngine:
         self._inflight: dict[tuple, Future] = {}
         self._inflight_lock = threading.Lock()
         self._restarts = 0
-        self._last_restart = 0.0
         self._closing = False
         self._supervise_interval_s = supervise_interval_s
         self._supervisor: threading.Thread | None = None
@@ -543,7 +542,6 @@ class ShardedEngine:
                     continue
                 shard.revive()
                 self._restarts += 1
-                self._last_restart = clock.monotonic()
                 health = self.health
                 if health is not None:
                     health.note_restart()

@@ -43,6 +43,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from repro import faults
 from repro.exceptions import (
     DeadlineExceeded,
     EngineClosed,
@@ -51,7 +52,6 @@ from repro.exceptions import (
     ServingError,
 )
 from repro.obs import clock, export, metrics, tracing
-from repro.serve import faults
 from repro.serve.advisor_service import AdvisorService
 from repro.serve.cache import payload_fingerprint
 from repro.serve.codec import (

@@ -30,11 +30,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro import faults
 from repro.eval.resultstore import fingerprint, registry_dir
 from repro.exceptions import ServingError
 from repro.model.gnn import CostGNN
 from repro.model.persistence import load_model, model_summary, save_model
-from repro.serve import faults
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_.-]*$")
 _VERSION_RE = re.compile(r"^v(\d{4})\.npz$")

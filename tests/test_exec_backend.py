@@ -4,11 +4,15 @@ The registry (selection by name, availability probes, actionable
 errors), the ``SimulatorBackend`` pure-refactor pin (byte-identical
 results and resultstore fingerprints vs. direct ``Executor`` use), the
 star-schema generator behind realbench, the LIKE-enabled workload
-option, and the real-runtime path through ``observe_benchmark``.
+option, the real-runtime path through ``observe_benchmark``, and the
+verdict that sets realbench's exit status.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -397,3 +401,56 @@ class TestRecordRuntimeMetadata:
         # provenance keys the service owns cannot be overridden
         assert record.metadata["decision_id"] == decision.decision_id
         assert record.metadata["true_selectivity"] == 0.25
+
+
+# ======================================================================
+def _load_realbench_script():
+    """Import scripts/realbench.py (scripts/ is not a package)."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "realbench.py"
+    spec = importlib.util.spec_from_file_location("realbench_script", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["realbench_script"] = module  # dataclasses resolve through it
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRealbenchVerdict:
+    """``scripts/realbench.py`` exits non-zero when DuckDB disagrees; its
+    verdict runs here on fabricated reports, no duckdb needed."""
+
+    @staticmethod
+    def report(**overrides) -> dict:
+        report = {
+            "workload": {"n_queries": 200, "n_plans_executed": 400},
+            "count_parity": {
+                "parity_rate": 1.0,
+                "mismatches": [],
+                "udf_invocations": 1234.0,
+            },
+            "feedback": {"n_records": 40, "backend_tagged": 40},
+            "fidelity": {"spearman_overall": {"rho": 0.62, "n": 400}},
+        }
+        for section, fields in overrides.items():
+            report[section] = {**report[section], **fields}
+        return report
+
+    def test_passing_report_has_no_failures(self):
+        rb = _load_realbench_script()
+        assert rb.verdict(self.report(), rb.RealbenchConfig(n_queries=200)) == []
+
+    def test_broken_report_names_every_failed_check(self):
+        rb = _load_realbench_script()
+        broken = self.report(
+            workload={"n_plans_executed": 150},
+            count_parity={"parity_rate": 0.98, "udf_invocations": 0.0},
+            feedback={"backend_tagged": 39},
+            fidelity={"spearman_overall": {"rho": None, "n": 150}},
+        )
+        failures = rb.verdict(broken, rb.RealbenchConfig(n_queries=200))
+        assert len(failures) == 5, failures
+        for needle in ("150 plans executed", "parity", "UDF", "backend", "Spearman"):
+            assert any(needle in failure for failure in failures), needle
+        empty = self.report(feedback={"n_records": 0, "backend_tagged": 0})
+        assert rb.verdict(empty, rb.RealbenchConfig(n_queries=200)) == [
+            "the feedback log received no records"
+        ]

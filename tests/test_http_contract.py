@@ -86,6 +86,11 @@ def send(server, method: str, path: str, body=None, headers=None):
         connection.close()
 
 
+def reject_constant(name: str):
+    """``parse_constant`` hook: strict JSON has no NaN or Infinity."""
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
 def call(server, method: str, path: str, body=None, headers=None):
     """``(status, headers, decoded JSON body)`` of one request."""
     status, response_headers, raw = send(server, method, path, body, headers)
@@ -147,7 +152,7 @@ class TestContract:
         _, model, _ = published
         catalog, estimator = advisor_parts
         query = placeable_query(tiny_bench)
-        status, _, body = call(
+        status, _, raw = send(
             server,
             "POST",
             "/advise",
@@ -158,6 +163,7 @@ class TestContract:
             },
         )
         assert status == 200
+        body = json.loads(raw, parse_constant=reject_constant)
         offline = PullUpAdvisor(model=model, catalog=catalog, estimator=estimator)
         reference = offline.decide(query, true_selectivity=true_selectivity)
         assert body["pull_up"] == reference.pull_up

@@ -1,7 +1,7 @@
 """Resilience-layer tests: fault injection, breaker, degraded fallback,
 deadlines, backpressure, crash recovery, and structured HTTP errors.
 
-Every fault here is scripted through ``repro.serve.faults`` with
+Every fault here is scripted through ``repro.faults`` with
 probability 1.0 or capped fire counts, so each test is deterministic:
 the same failures fire in the same order on every run (DESIGN.md §12).
 """
@@ -18,6 +18,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.core import encoding as enc
 from repro.core.joint_graph import JointGraph
 from repro.exceptions import (
@@ -25,6 +26,7 @@ from repro.exceptions import (
     EngineOverloaded,
     ServingError,
 )
+from repro.faults import FaultInjector, InjectedFault, WorkerCrash, injected
 from repro.feedback import FeedbackLog, FeedbackRecord
 from repro.model import CostGNN, GNNConfig
 from repro.serve import (
@@ -36,11 +38,9 @@ from repro.serve import (
     PredictionCache,
     PreparedRequestCache,
     ShardedEngine,
-    faults,
     graph_to_json,
     make_server,
 )
-from repro.serve.faults import FaultInjector, InjectedFault, WorkerCrash, injected
 from repro.serve.resilience import (
     deadline_from_ms,
     deadline_remaining,
@@ -151,18 +151,26 @@ class TestFaultSpec:
             for _ in range(n):
                 try:
                     injector.fire(site)
-                    out.append(False)
-                except InjectedFault:
-                    out.append(True)
+                    out.append("ok")
+                except (InjectedFault, WorkerCrash) as exc:
+                    out.append(type(exc).__name__)
             return out
 
-        spec = "forward:error:0.3;decode:error:0.2"
-        a, b = FaultInjector(spec, seed=5), FaultInjector(spec, seed=5)
-        assert decisions(a, "forward") == decisions(b, "forward")
-        assert decisions(a, "decode") == decisions(b, "decode")
-        # a different seed is a different storm
-        c = FaultInjector(spec, seed=6)
-        assert decisions(c, "forward") != decisions(b, "forward")
+        for spec, sites in (
+            ("forward:error:0.3;decode:error:0.2", ("forward", "decode")),
+            # crash, error and delay rules: a chaos run replays
+            (
+                "shard.worker:crash:0.3;forward:error:0.2;forward:delay:0.5:0.001",
+                ("forward", "shard.worker"),
+            ),
+        ):
+            a, b = FaultInjector(spec, seed=5), FaultInjector(spec, seed=5)
+            for site in sites:
+                assert decisions(a, site) == decisions(b, site)
+            assert a.counts() == b.counts()
+            # a different seed is a different storm
+            c = FaultInjector(spec, seed=6)
+            assert decisions(c, sites[0]) != decisions(b, sites[0])
 
     def test_install_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "seed=9;decode:error:1.0:1")

@@ -56,13 +56,15 @@ from repro.storage.datatypes import DataType
 from repro.udf import UDF
 
 
-def synthetic_graphs(n_graphs: int, seed: int = 0) -> list[JointGraph]:
-    """Small random typed DAGs shaped like joint graphs."""
+def synthetic_graphs(
+    n_graphs: int, seed: int = 0, nodes: tuple[int, int] = (8, 20)
+) -> list[JointGraph]:
+    """Random typed DAGs shaped like joint graphs, ``nodes`` = [low, high)."""
     rng = np.random.default_rng(seed)
     types = list(enc.NODE_TYPES)
     graphs = []
     for _ in range(n_graphs):
-        n = int(rng.integers(8, 20))
+        n = int(rng.integers(*nodes))
         graph = JointGraph()
         for _ in range(n):
             gtype = types[int(rng.integers(len(types)))]
