@@ -33,7 +33,6 @@ from repro.feedback import (
     FeedbackLoop,
     RetrainConfig,
     observe_benchmark,
-    select_serving_version,
     serving_baseline,
 )
 from repro.model import GNNConfig, GracefulModel, TrainConfig
@@ -44,15 +43,16 @@ from repro.stats import StatisticsCatalog, make_estimator
 def train_or_load(args, registry, bench):
     """(model, version, baseline_median) for the parsed CLI options."""
     model_name = args.model or f"costgnn-{args.dataset}"
-    # not versions[-1]: the latest version may be a canary candidate
-    # that lost (or never finished) its shadow comparison — serve the
-    # newest *promoted* version, else the newest original publication
-    version = select_serving_version(registry, model_name)
-    if version is not None and not args.retrain:
-        model = registry.load(model_name, version.version)
-        baseline = serving_baseline(version)
+    if registry.versions(model_name) and not args.retrain:
+        # the registry's serving order, not versions[-1]: the newest
+        # promoted canary, else the newest original publication — never
+        # a candidate that lost (or never finished) its shadow
+        # comparison; a corrupt artifact is quarantined and skipped
+        model, version = registry.load_serving(model_name)
+        if registry.quarantined:
+            print(f"quarantined artifacts: {registry.quarantined}")
         print(f"serving registry model {version.ref}")
-        return model, version, baseline
+        return model, version, serving_baseline(version)
     print(f"training {model_name} (epochs={args.epochs})...")
     samples = prepare_dataset_samples(
         bench, estimator_name="actual", placements=training_placements()

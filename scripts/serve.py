@@ -11,8 +11,10 @@ advice over HTTP::
     curl localhost:8080/models
     curl -X POST localhost:8080/advise -d '{"query": {...}}'
 
-Scoring runs on an in-process sharded engine (``--shards`` threads)
-with its fast-path caches, circuit breaker and degraded fallback armed.
+Scoring runs on an in-process engine whose ``--shards`` worker threads
+drain one bounded queue (``--queue-cap``), each taking up to
+``--max-batch-size`` queued requests per joint forward, with its
+fast-path caches, circuit breaker and degraded fallback armed.
 
 See ``examples/serving_client.py`` for a full client round-trip.
 """
@@ -84,7 +86,6 @@ def build_service(args: argparse.Namespace):
         model,
         shards=args.shards or None,  # None -> $REPRO_SERVE_SHARDS / cores
         max_batch_size=args.max_batch_size,
-        max_wait_us=args.max_wait_us,
         request_cache=PreparedRequestCache(),
         prediction_cache=PredictionCache(),
         max_queue=args.queue_cap or None,  # None -> $REPRO_QUEUE_CAP
@@ -92,7 +93,7 @@ def build_service(args: argparse.Namespace):
         fallback=DegradedFallback(),
     )
     print(
-        f"inference engine: {engine.n_shards} shard(s), fast-path caches on, "
+        f"inference engine: {engine.n_shards} worker(s), fast-path caches on, "
         f"breaker + degraded fallback armed"
     )
     service = AdvisorService(
@@ -123,7 +124,7 @@ def serve_until_signalled(server) -> None:
     handler the process would die mid-batch, dropping queued futures.
     The handler converts SIGTERM into the KeyboardInterrupt path so both
     signals shut down identically: stop accepting requests, then drain
-    the engine's shard threads. (Runs on the main thread — signal
+    the engine's worker threads. (Runs on the main thread — signal
     handlers cannot be installed anywhere else.)
     """
     previous = signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
@@ -150,14 +151,19 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser.add_argument(
         "--retrain", action="store_true", help="train even if a version exists"
     )
-    parser.add_argument("--max-batch-size", type=int, default=64)
-    parser.add_argument("--max-wait-us", type=float, default=2000.0)
+    parser.add_argument(
+        "--max-batch-size",
+        type=int,
+        default=64,
+        help="queued requests a free worker takes into one joint forward",
+    )
     parser.add_argument(
         "--queue-cap",
         type=int,
         default=0,
-        help="per-shard admission bound (0 = $REPRO_QUEUE_CAP or 8192); "
-        "submissions past it are shed with HTTP 503 + Retry-After",
+        help="engine-wide admission bound on queued requests (0 = "
+        "$REPRO_QUEUE_CAP or 8192); a call that would exceed it is shed "
+        "whole with HTTP 503 + Retry-After",
     )
     parser.add_argument(
         "--deadline-ms",
@@ -178,8 +184,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         "--shards",
         type=int,
         default=0,
-        help="inference worker threads (0 = $REPRO_SERVE_SHARDS or one "
-        "per core, capped at 4)",
+        help="inference worker threads draining the engine queue (0 = "
+        "$REPRO_SERVE_SHARDS or one per core, capped at 4)",
     )
     parser.add_argument("--strategy", default="conservative")
     parser.add_argument("--estimator", default="actual")

@@ -33,7 +33,6 @@ from repro.feedback.retrain import (
     Retrainer,
     RetrainOutcome,
     clone_model,
-    select_serving_version,
     serving_baseline,
 )
 from repro.feedback.simulate import (
@@ -59,7 +58,6 @@ __all__ = [
     "clone_model",
     "graph_fingerprint",
     "observe_benchmark",
-    "select_serving_version",
     "serving_baseline",
     "true_udf_selectivity",
 ]

@@ -63,26 +63,6 @@ def clone_model(model: CostGNN) -> CostGNN:
     return clone
 
 
-def select_serving_version(registry: ModelRegistry, name: str) -> ModelVersion | None:
-    """The newest version that should actually be *served*.
-
-    ``versions()[-1]`` is wrong for a restarted deployment: rejected
-    canary candidates stay in the registry as the episode's record, so
-    the latest version may be a model that just *lost* its shadow
-    comparison (or one never judged because the process died first).
-    Serve the newest promoted candidate; before any promotion, the
-    newest original (non-retrain) publication.
-    """
-    versions = registry.versions(name)
-    for version in reversed(versions):
-        if version.metrics.get("canary", {}).get("promoted") is True:
-            return version
-    for version in reversed(versions):
-        if "retrained_from" not in version.metrics:
-            return version
-    return None
-
-
 def serving_baseline(version: ModelVersion) -> float:
     """The drift baseline a served version is known to deliver: the
     canary holdout median for promoted candidates, the recorded

@@ -13,10 +13,8 @@ from repro.model.batching import (
 )
 from repro.model.flatvector import FLAT_FEATURE_NAMES, FlatVectorUDFModel, flat_features
 from repro.model.prepared import (
-    BatchCache,
     PreparedGraph,
     PreparedGraphCache,
-    default_batch_cache,
     default_graph_cache,
     prepare_graph,
 )
@@ -32,7 +30,6 @@ from repro.model.training import (
 )
 
 __all__ = [
-    "BatchCache",
     "CostGNN",
     "FLAT_FEATURE_NAMES",
     "FlatGraphBaseline",
@@ -48,7 +45,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "compute_levels",
-    "default_batch_cache",
     "default_graph_cache",
     "evaluate_cost_model",
     "flat_features",

@@ -417,50 +417,9 @@ class PreparedGraphCache:
         }
 
 
-class BatchCache:
-    """LRU of fully assembled :class:`~repro.model.batching.GraphBatch`.
-
-    Keys are caller-provided tuples (e.g. the ids of the graphs in a
-    prediction chunk plus the dtype); ``pins`` holds whatever objects the
-    key's ids refer to, so the ids cannot be recycled while cached.
-    """
-
-    def __init__(self, max_batches: int = 512):
-        self.max_batches = max_batches
-        self._entries: OrderedDict[tuple, tuple[object, object]] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: tuple):
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._entries.move_to_end(key)
-        return entry[1]
-
-    def put(self, key: tuple, batch, pins: object = None) -> None:
-        self._entries[key] = (pins, batch)
-        while len(self._entries) > self.max_batches:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 _GRAPH_CACHE = PreparedGraphCache()
-_BATCH_CACHE = BatchCache()
 
 
 def default_graph_cache() -> PreparedGraphCache:
     """The process-wide prepared-graph cache."""
     return _GRAPH_CACHE
-
-
-def default_batch_cache() -> BatchCache:
-    """The process-wide assembled-batch cache (prediction chunks)."""
-    return _BATCH_CACHE

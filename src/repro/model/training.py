@@ -19,11 +19,7 @@ from repro.core.joint_graph import JointGraph
 from repro.eval.metrics import q_error_summary
 from repro.model.batching import make_batch, make_batch_prepared
 from repro.model.gnn import CostGNN
-from repro.model.prepared import (
-    default_batch_cache,
-    default_graph_cache,
-    prepare_graphs,
-)
+from repro.model.prepared import default_graph_cache, prepare_graphs
 from repro.nn.loss import log_mse_loss
 from repro.nn.optim import Adam, clip_grad_norm
 
@@ -149,17 +145,12 @@ def predict_runtimes(
 ) -> np.ndarray:
     """Predicted runtimes (seconds) for a list of graphs.
 
-    Assembled inference batches are memoized in the process-wide
-    :class:`~repro.model.prepared.BatchCache`: predicting the same chunk
-    of graphs again (e.g. several models evaluating one test set) skips
-    batching entirely. Tiny chunks are not cached — the advisor costs a
-    ~6-graph selectivity grid of freshly built graphs per decision, so
-    their identity keys never repeat and caching would only evict the
-    fold loop's reusable topology. Test sets (20+ graphs even at quick
-    scale) stay above the threshold and remain cached.
+    Chunks under 16 graphs (the advisor's per-decision selectivity grid
+    of freshly built graphs) are prepared jointly without a cache; larger
+    chunks go through :func:`~repro.model.batching.make_batch`, which
+    reuses prepared topology from the process-wide graph cache.
     """
     dtype = getattr(model, "dtype", np.dtype(np.float64))
-    batch_cache = default_batch_cache()
     predictions = np.empty(len(graphs), dtype=np.float64)
     for start in range(0, len(graphs), batch_size):
         chunk = graphs[start : start + batch_size]
@@ -168,10 +159,6 @@ def predict_runtimes(
                 prepare_graphs(chunk), np.zeros(len(chunk)), dtype=dtype
             )
         else:
-            key = (tuple(id(g) for g in chunk), dtype.str)
-            batch = batch_cache.get(key)
-            if batch is None:
-                batch = make_batch(chunk, np.zeros(len(chunk)), dtype=dtype)
-                batch_cache.put(key, batch, pins=tuple(chunk))
+            batch = make_batch(chunk, np.zeros(len(chunk)), dtype=dtype)
         predictions[start : start + len(chunk)] = model.predict_runtimes(batch)
     return predictions

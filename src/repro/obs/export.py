@@ -1,6 +1,6 @@
 """Scrape-time samples bridging component counters into ``/metrics``.
 
-Components that already keep their own cheap counters — the per-shard
+Components that already keep their own cheap counters — the per-worker
 ``EngineStats`` merged on read, the cache tiers, the circuit breaker,
 the feedback log — are *sampled* when ``/metrics`` is
 scraped rather than double-counted into the live registry.  One number,
@@ -177,7 +177,7 @@ def engine_samples(doc):
                 doc["queued"],
                 None,
                 "gauge",
-                "Requests waiting in shard queues",
+                "Requests waiting in the engine queue",
             )
         )
     if "shards" in doc:

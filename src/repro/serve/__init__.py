@@ -6,11 +6,10 @@ optimization time*; this package is that serving surface (DESIGN.md §9):
 * :class:`ModelRegistry` — named, versioned trained models with
   fingerprinted metadata and an LRU of live instances;
 * :class:`ShardedEngine` — the one scoring backend every serving
-  component takes: ``REPRO_SERVE_SHARDS`` shard threads, each a
-  :class:`MicroBatchEngine` that coalesces concurrent prediction
-  requests into joint prepared-graph batches, behind fingerprint-keyed
-  serving caches (:class:`PreparedRequestCache`,
-  :class:`PredictionCache`);
+  component takes: ``REPRO_SERVE_SHARDS`` worker threads drain one
+  queue, coalescing concurrent prediction requests into joint
+  prepared-graph batches, behind fingerprint-keyed serving caches
+  (:class:`PreparedRequestCache`, :class:`PredictionCache`);
 * :class:`AdvisorService` — multi-client ``suggest_placement`` sessions
   scoring every placement alternative in one micro-batch;
 * :mod:`repro.serve.http` — the stdlib JSON front end over all of it;
@@ -41,7 +40,6 @@ from repro.serve.codec import (
 )
 from repro.serve.engine import (
     EngineStats,
-    MicroBatchEngine,
     ScoreOutcome,
     ShardedEngine,
     default_queue_cap,
@@ -62,7 +60,6 @@ __all__ = [
     "DegradedFallback",
     "EngineStats",
     "HealthMonitor",
-    "MicroBatchEngine",
     "ModelRegistry",
     "ModelVersion",
     "PredictionCache",

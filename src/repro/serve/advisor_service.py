@@ -187,7 +187,7 @@ class AdvisorService:
         # them together and runs a single joint forward pass. With a
         # prediction cache, repeat (graph, placement, selectivity) keys
         # skip the forward entirely and only the misses travel to the
-        # shards.
+        # engine queue.
         order = (UDFPlacement.PUSH_DOWN, UDFPlacement.PULL_UP)
         flat = [g for placement in order for g in graphs[placement]]
         contexts = [

@@ -24,7 +24,7 @@ Two content-keyed tiers fix that:
   and in-flight writers that started before the swap are rejected by the
   epoch token they captured at read time.
 
-Both caches are shared by every shard of a
+Both caches are shared by every worker of a
 :class:`~repro.serve.engine.ShardedEngine` and are internally locked;
 the critical sections are dictionary operations only (hashing and
 preparation happen outside the lock).
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.joint_graph import JointGraph
-from repro.feedback.collector import graph_fingerprint
 from repro.model.prepared import (
     PreparedGraph,
     next_prepare_token,
@@ -156,25 +155,22 @@ def payload_fingerprint(payload) -> str:
 class PreparedRequestCache:
     """Version-independent request-shape caches, keyed by content.
 
-    Three sections, one lock:
+    Three tiers behind one lock:
 
-    * a fingerprint memo (``id(graph)`` → fingerprint, graph pinned) so
-      one request's graph is hashed once even when several layers —
-      prediction keys, prepared lookup — need its fingerprint;
     * the prepared tier (``graph_fingerprint`` →
       :class:`PreparedGraph`): repeat graphs skip the Kahn sweep /
       type-stacking of :func:`prepare_graphs` entirely;
+    * the topology tier (``topology_fingerprint`` → skeleton): a known
+      shape with new feature values only restacks its feature matrices;
     * the payload tier (``payload_fingerprint`` of raw wire bytes → the
       decoded object(s)): repeat HTTP bodies skip ``json.loads`` and
-      codec decoding, and — because the *same* graph objects come back —
-      keep the fingerprint memo hot as well.
+      codec decoding.
     """
 
     def __init__(self, max_graphs: int = 8192, max_payloads: int = 4096):
         self.max_graphs = max_graphs
         self.max_payloads = max_payloads
         self._lock = threading.Lock()
-        self._fp_memo: OrderedDict[int, tuple[JointGraph, str]] = OrderedDict()
         self._prepared: OrderedDict[str, PreparedGraph] = OrderedDict()
         self._topology: OrderedDict[str, _TopologySkeleton] = OrderedDict()
         self._payloads: OrderedDict[str, object] = OrderedDict()
@@ -185,36 +181,14 @@ class PreparedRequestCache:
         self.payload_hits = 0
         self.payload_misses = 0
 
-    # -- fingerprints ---------------------------------------------------
-    def fingerprints(self, graphs: list[JointGraph]) -> list[str]:
-        """Content fingerprints, memoized by object identity.
-
-        The memo pins each graph so its ``id()`` cannot be recycled while
-        the entry lives; repeated objects (the payload tier returns the
-        same decoded graphs for a repeated body) skip hashing entirely.
-        """
-        out: list[str | None] = [None] * len(graphs)
-        missing: list[int] = []
-        with self._lock:
-            for i, graph in enumerate(graphs):
-                entry = self._fp_memo.get(id(graph))
-                if entry is not None:
-                    out[i] = entry[1]
-                else:
-                    missing.append(i)
-        for i in missing:
-            out[i] = graph_fingerprint(graphs[i])
-        if missing:
-            with self._lock:
-                for i in missing:
-                    self._fp_memo[id(graphs[i])] = (graphs[i], out[i])
-                while len(self._fp_memo) > self.max_graphs:
-                    self._fp_memo.popitem(last=False)
-        return out  # type: ignore[return-value]
-
     # -- prepared tier --------------------------------------------------
-    def prepared_many(self, graphs: list[JointGraph]) -> list[PreparedGraph]:
+    def prepared_many(
+        self, graphs: list[JointGraph], fps: list[str]
+    ) -> list[PreparedGraph]:
         """Resolve prepared topology by content; misses prepare jointly.
+
+        ``fps[i]`` is ``graph_fingerprint(graphs[i])``, computed once by
+        the caller (the engine hashes each request's graph on arrival).
 
         Misses fall through two levels before paying full preparation:
         an exact-content hit reuses the whole :class:`PreparedGraph`; a
@@ -223,7 +197,6 @@ class PreparedRequestCache:
         sweep and rank arrays and only restacks the per-type feature
         matrices, the dominant serving-miss shape of template traffic.
         """
-        fps = self.fingerprints(graphs)
         out: list[PreparedGraph | None] = [None] * len(graphs)
         miss_pos: list[int] = []
         with self._lock:
@@ -317,7 +290,6 @@ class PreparedRequestCache:
     # -- maintenance ----------------------------------------------------
     def clear(self) -> None:
         with self._lock:
-            self._fp_memo.clear()
             self._prepared.clear()
             self._topology.clear()
             self._payloads.clear()
@@ -328,7 +300,6 @@ class PreparedRequestCache:
                 "prepared_entries": len(self._prepared),
                 "topology_entries": len(self._topology),
                 "payload_entries": len(self._payloads),
-                "fingerprint_memo": len(self._fp_memo),
                 "max_graphs": self.max_graphs,
                 "prepared_hits": self.prepared_hits,
                 "prepared_misses": self.prepared_misses,

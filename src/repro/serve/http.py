@@ -27,9 +27,7 @@ score through its ``score_resilient``.
 Repeated ``/predict`` and ``/advise`` bodies are recognized by a
 fingerprint of the *raw request bytes* in the engine's
 :class:`~repro.serve.cache.PreparedRequestCache` and skip JSON parsing
-and codec decoding entirely — and because the cache hands back the same
-decoded objects every time, the downstream fingerprint memo and
-prepared/prediction tiers stay hot too (DESIGN.md §11).
+and codec decoding entirely (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -73,6 +71,10 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: caps one ``/feedback`` post; larger reports must be split (keeps a
 #: single request from monopolizing the log's lock and the JSON parser)
 MAX_FEEDBACK_RECORDS = 1024
+
+#: caps the ``/advise`` client id: it keys the session LRU and is
+#: echoed by ``/stats``
+MAX_CLIENT_CHARS = 128
 
 #: seconds a shed client should wait before retrying (the 503 header)
 RETRY_AFTER_S = 1
@@ -388,9 +390,9 @@ class ServingHandler(BaseHTTPRequestHandler):
             self.wfile.write(body)
             self._obs_status = 200
         elif self.path == "/stats":
-            # every section is a snapshot read: the engine reports queue
-            # depths and per-shard counters without its dispatch lock,
-            # so /stats stays responsive while the shards are saturated
+            # every section is a snapshot read: the engine reports its
+            # queue depth and worker counters without its queue lock,
+            # so /stats stays responsive while the workers are saturated
             stats = server.service.describe()
             stats["health"] = server.health.describe()
             stats["caches"] = server.cache_section()
@@ -465,8 +467,7 @@ class ServingHandler(BaseHTTPRequestHandler):
         return {"index": index, "code": code.get(status, "error"), "message": message}
 
     def _handle_predict(self, raw: bytes, deadline: float | None = None) -> None:
-        # repeat bodies (same bytes) skip json.loads + codec decode and
-        # return the same graph objects, keeping downstream caches hot
+        # repeat bodies (same bytes) skip json.loads + codec decode
         with tracing.span("http.decode"):
             graphs, remember = self._cached_payload(raw, "predict")
             if graphs is None:
@@ -507,7 +508,12 @@ class ServingHandler(BaseHTTPRequestHandler):
                 true_selectivity = selectivity_from_json(
                     payload.get("true_selectivity")
                 )
-                client = str(payload.get("client", "anonymous"))
+                client = payload.get("client", "anonymous")
+                if not isinstance(client, str) or len(client) > MAX_CLIENT_CHARS:
+                    raise ServingError(
+                        f'"client" must be a string of at most '
+                        f"{MAX_CLIENT_CHARS} characters"
+                    )
                 strategy = payload.get("strategy")
                 if strategy is not None and not isinstance(strategy, str):
                     raise ServingError('"strategy" must be a string')

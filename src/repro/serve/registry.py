@@ -276,11 +276,12 @@ class ModelRegistry:
     def serving_candidates(self, name: str) -> list[ModelVersion]:
         """Versions of ``name`` in serving-preference order.
 
-        The same policy as the feedback loop's
-        ``select_serving_version``: promoted canaries (newest first),
-        then versions that were not retrained from anything (newest
-        first), then the rest — but returning *every* candidate so a
-        recovery path exists when the preferred artifact is corrupt.
+        The one owner of "which version serves": promoted canaries
+        (newest first), then versions that were not retrained from
+        anything (newest first), then the rest — a rejected or unjudged
+        candidate serves only when nothing better loads. Every candidate
+        is returned, so a recovery path exists when the preferred
+        artifact is corrupt.
         """
         versions = self.versions(name)
 

@@ -1,13 +1,13 @@
 """Resilience primitives for the serving tier (DESIGN.md §12).
 
-Four small machines that, together with the bounded queues and shard
+Four small machines that, together with the bounded queue and worker
 supervisor in :mod:`repro.serve.engine`, turn "a request was submitted"
 into "every admitted request gets exactly one of: an answer, a flagged
 degraded answer, or a clean structured rejection — promptly":
 
 * :class:`Deadline` helpers — absolute monotonic deadlines (on the
   :mod:`repro.obs.clock` seam, like every duration in the stack)
-  carried from the HTTP header through the shard queue, so expired work
+  carried from the HTTP header through the engine queue, so expired work
   is shed *before* a forward pass is paid for it;
 * :class:`CircuitBreaker` — a classic closed/open/half-open breaker over
   the GNN forward, tripping on error rate or latency and recovering via

@@ -9,6 +9,7 @@ synthetic drift → detection → retrain → shadow comparison → hot swap.
 
 from __future__ import annotations
 
+import argparse
 import json
 import threading
 import time
@@ -54,6 +55,7 @@ from repro.serve import (
     query_to_json,
 )
 from repro.stats import ActualCardinalityEstimator, StatisticsCatalog
+from tests.test_serving import load_script
 
 
 def synthetic_graphs(n_graphs: int, seed: int = 0) -> list[JointGraph]:
@@ -388,8 +390,11 @@ class TestRetrainer:
 
 
 class TestServingVersionSelection:
+    """A restart serves what ``ModelRegistry.load_serving`` picks: the
+    registry alone owns the serving order."""
+
     def test_rejected_candidate_is_not_served_on_restart(self, tmp_path, model):
-        from repro.feedback import select_serving_version, serving_baseline
+        from repro.feedback import serving_baseline
 
         registry = ModelRegistry(tmp_path)
         registry.publish("m", model, metrics={"median_q": 1.4})
@@ -400,7 +405,7 @@ class TestServingVersionSelection:
         registry.annotate(
             "m", 2, {"canary": {"promoted": False, "improvement": -0.5}}
         )
-        chosen = select_serving_version(registry, "m")
+        _, chosen = ModelRegistry(tmp_path).load_serving("m")
         assert chosen.version == 1
         assert serving_baseline(chosen) == pytest.approx(1.4)
         # a later *promoted* candidate wins over both
@@ -411,20 +416,40 @@ class TestServingVersionSelection:
             3,
             {"canary": {"promoted": True, "candidate_q": {"median": 1.2}}},
         )
-        chosen = select_serving_version(registry, "m")
+        served, chosen = ModelRegistry(tmp_path).load_serving("m")
         assert chosen.version == 3
         assert serving_baseline(chosen) == pytest.approx(1.2)
+        for name, array in good.state_dict().items():
+            np.testing.assert_array_equal(served.state_dict()[name], array)
 
     def test_unjudged_candidate_is_not_served(self, tmp_path, model):
         # process died between publish and the canary verdict: serve the
         # last known-good original, not the unjudged candidate
-        from repro.feedback import select_serving_version
-
         registry = ModelRegistry(tmp_path)
         registry.publish("m", model, metrics={"median_q": 1.4})
         registry.publish("m", model, metrics={"retrained_from": "m@v1"})
-        assert select_serving_version(registry, "m").version == 1
-        assert select_serving_version(registry, "ghost") is None
+        assert registry.load_serving("m")[1].version == 1
+        with pytest.raises(ServingError, match="no published versions"):
+            registry.load_serving("ghost")
+
+    def test_feedback_loop_restart_skips_corrupt_artifact(self, tmp_path, model):
+        # scripts/feedback_loop.py restarts through load_serving: the
+        # corrupt promoted artifact is quarantined, the original serves
+        script = load_script("feedback_loop")
+        registry = ModelRegistry(tmp_path)
+        registry.publish("m", model, metrics={"median_q": 1.4})
+        promoted = registry.publish(
+            "m",
+            model,
+            metrics={"retrained_from": "m@v1", "canary": {"promoted": True}},
+        )
+        promoted.path.write_bytes(b"garbage")
+        restarted = ModelRegistry(tmp_path)
+        args = argparse.Namespace(model="m", dataset="unused", retrain=False)
+        _, version, baseline = script.train_or_load(args, restarted, bench=None)
+        assert version.version == 1
+        assert baseline == pytest.approx(1.4)
+        assert promoted.ref in restarted.quarantined
 
 
 class TestRegistryAnnotate:
@@ -447,9 +472,9 @@ class TestCanaryPromoter:
         other = CostGNN(GNNConfig(hidden_dim=8, dtype="float64", seed=7))
         graphs = synthetic_graphs(6, seed=3)
         with ShardedEngine(model, shards=1, max_batch_size=8) as engine:
-            before = engine.predict(graphs)
+            before = engine.score_resilient(graphs).values
             engine.swap_model(other)
-            after = engine.predict(graphs)
+            after = engine.score_resilient(graphs).values
         np.testing.assert_allclose(before, predict_runtimes(model, graphs))
         np.testing.assert_allclose(after, predict_runtimes(other, graphs))
         assert engine.stats.model_swaps == 1

@@ -31,9 +31,10 @@ from repro.serve import (
     make_server,
     query_to_json,
 )
-from repro.serve.http import MAX_FEEDBACK_RECORDS
+from repro.serve.http import MAX_CLIENT_CHARS, MAX_FEEDBACK_RECORDS
 from repro.stats import ActualCardinalityEstimator, StatisticsCatalog
 from tests.test_obs import assert_histograms_coherent, parse_prometheus
+from tests.test_perfbench_contract import load_perfbench
 from tests.test_serving import make_udf_query, placeable_query, synthetic_graphs
 
 MODEL_NAME = "contract"
@@ -211,12 +212,29 @@ class TestContract:
         assert headers["X-Request-Id"]  # generated when absent
 
     def test_stats_sections(self, server):
+        graphs = synthetic_graphs(2, seed=31)
+        call(server, "POST", "/predict", {"graphs": [graph_to_json(g) for g in graphs]})
         status, _, stats = call(server, "GET", "/stats")
         assert status == 200
         assert stats["health"]["state"] == "ready"
         assert "prepared_hits" in stats["caches"]["request"]
         assert "hit_rate" in stats["caches"]["prediction"]
         assert "batches" in stats["engine"]["stats"]
+        # every /stats key and /metrics stage the benchmark's window
+        # reads (a missing key raises KeyError in window_counters)
+        serving = load_perfbench("serving")
+        _, _, metrics_text = send(server, "GET", "/metrics")
+        state = {
+            "stats": stats,
+            "stages": serving.stage_sums(metrics_text.decode()),
+            # the benchmark server's own process counters, not /stats
+            "proc": {
+                "cpu_s": 0.0,
+                "feedback": {"flushed_chunks": 0, "write_errors": 0},
+            },
+        }
+        assert "queue.wait" in state["stages"]
+        assert serving.window_counters(state, state)["shed"] == 0
 
     def test_metrics_exposition_parses(self, server):
         graphs = synthetic_graphs(3, seed=30)
@@ -380,6 +398,10 @@ MALFORMED = {
         "/advise", {"query": {**QUERY, "tables": ["orders"], "joins": []}}
     ),
     "strategy_not_a_string": post("/advise", {"query": QUERY, "strategy": ["auc"]}),
+    "client_not_string": post("/advise", {"query": QUERY, "client": {"id": 1}}),
+    "client_too_long": post(
+        "/advise", {"query": QUERY, "client": "c" * (MAX_CLIENT_CHARS + 1)}
+    ),
     "selectivity_not_a_number": advise_with("abc"),
     "selectivity_nan": advise_with("nan"),
     "selectivity_inf": advise_with("inf"),

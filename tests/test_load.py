@@ -49,9 +49,6 @@ TEMPLATE_NODES = (15, 45)
 #: DRIFT_PERIOD_S: a drifting mix, like the feedback loop's drift episodes
 HOT_TEMPLATES = 32
 DRIFT_PERIOD_S = 1.0
-#: shard coalescing timer; bursts arrive pre-batched, so a short timer
-#: keeps partial miss-batches from idling on the queue
-MAX_WAIT_US = 200.0
 HIDDEN_DIM = 32
 #: per-request deadline of the chaos traffic
 DEADLINE_S = 1.0
@@ -216,7 +213,6 @@ def run_chaos_scenario(base: LoadConfig, name: str, feedback_dir) -> dict:
         make_model(config),
         shards=config.shards,
         max_batch_size=config.max_batch_size,
-        max_wait_us=MAX_WAIT_US,
         request_cache=PreparedRequestCache(),
         prediction_cache=PredictionCache(),
         max_queue=spec.get("queue_cap"),
@@ -384,19 +380,16 @@ RUNS = 3
 def run_repetitive(config: LoadConfig, trace_every: int = 0) -> float:
     """Graphs per second through a fresh, warmed engine.
 
-    With ``trace_every`` > 0 every worker traces each Nth burst, and
-    every burst goes through ``score_resilient`` so the span taxonomy
-    applies.
+    With ``trace_every`` > 0 every worker traces each Nth burst.
     """
     engine = ShardedEngine(
         make_model(config),
         shards=config.shards,
         max_batch_size=config.max_batch_size,
-        max_wait_us=MAX_WAIT_US,
         request_cache=PreparedRequestCache(),
         prediction_cache=PredictionCache(),
     )
-    score = engine.score_resilient if trace_every else engine.score
+    score = engine.score_resilient
     bursts = [0] * config.concurrency
 
     def burst(worker: int, batch: list[JointGraph]) -> None:
@@ -408,7 +401,7 @@ def run_repetitive(config: LoadConfig, trace_every: int = 0) -> float:
             score(batch)
 
     with engine:
-        warm(config, engine.score)
+        warm(config, score)
         sent, seconds, hung = drive(config, burst)
     assert hung == 0
     return sent / seconds

@@ -23,11 +23,12 @@ from repro.core import encoding as enc
 from repro.core.joint_graph import JointGraph
 from repro.exceptions import (
     DeadlineExceeded,
+    EngineClosed,
     EngineOverloaded,
     ServingError,
 )
 from repro.faults import FaultInjector, InjectedFault, WorkerCrash, injected
-from repro.feedback import FeedbackLog, FeedbackRecord
+from repro.feedback import FeedbackLog, FeedbackRecord, graph_fingerprint
 from repro.model import CostGNN, GNNConfig
 from repro.serve import (
     AdvisorService,
@@ -81,7 +82,6 @@ def make_engine(model, **kwargs) -> ShardedEngine:
     defaults = dict(
         shards=2,
         max_batch_size=16,
-        max_wait_us=200.0,
         request_cache=PreparedRequestCache(),
         prediction_cache=PredictionCache(),
         breaker=CircuitBreaker(min_samples=4, cooldown_s=0.1),
@@ -99,6 +99,24 @@ def wait_until(predicate, timeout=5.0, interval=0.01) -> bool:
             return True
         time.sleep(interval)
     return predicate()
+
+
+def hold_worker(engine: ShardedEngine, seed: int) -> threading.Thread:
+    """Park the engine's only worker inside a forward.
+
+    Call under an installed ``forward:delay`` fault: a background call
+    scores one graph, and once the worker has popped it, whatever is
+    queued next waits for the delay to end.
+    """
+    requests = engine.stats.requests
+    holder = threading.Thread(
+        target=engine.score_resilient, args=(synthetic_graphs(1, seed=seed),)
+    )
+    holder.start()
+    assert wait_until(
+        lambda: engine.stats.requests > requests and not engine.describe()["queued"]
+    )
+    return holder
 
 
 def force_open(breaker: CircuitBreaker) -> None:
@@ -316,30 +334,37 @@ class TestDeadlinesAndBackpressure:
         assert all(isinstance(e, DeadlineExceeded) for e in outcome.errors)
 
     def test_deadline_expiring_in_queue_is_shed(self, model):
-        # a long coalescing timer holds the batch on the queue past the
-        # request deadline; the worker must shed it instead of forwarding
-        engine = make_engine(model, shards=1, max_wait_us=150_000.0)
-        with engine:
+        # a busy worker holds the request on the queue past its
+        # deadline; the worker must shed it instead of forwarding
+        engine = make_engine(model, shards=1)
+        with engine, injected("forward:delay:1.0:0.3"):
+            holder = hold_worker(engine, seed=10)
             outcome = engine.score_resilient(
-                synthetic_graphs(1, seed=11), deadline=time.monotonic() + 0.01
+                synthetic_graphs(1, seed=11), deadline=time.monotonic() + 0.05
             )
             assert outcome.statuses == ["shed_deadline"]
-            # the caller's wait expires first; the worker pops the batch
-            # when its coalescing timer fires and ticks the counter then
+            # the caller's wait expires first; the worker pops the
+            # request once the held forward ends and ticks the counter
             assert wait_until(lambda: engine.stats.shed_deadline >= 1)
+            holder.join(timeout=30)
+        assert engine.stats.predictions == 1  # the shed one never ran
 
     def test_queue_cap_rejects_with_overload(self, model):
         engine = make_engine(model, shards=1, max_queue=2)
-        with engine:
-            with pytest.raises(EngineOverloaded):
-                engine._shards[0].submit_many(synthetic_graphs(3, seed=12))
-            outcome = engine.score_resilient(synthetic_graphs(3, seed=13))
-        assert set(outcome.statuses) <= {"shed_overload", "ok"}
-        # either everything was shed (queue still full) or the worker
-        # raced the admission check and served; both are clean outcomes
-        assert all(
-            e is None or isinstance(e, EngineOverloaded) for e in outcome.errors
-        )
+        with engine, injected("forward:delay:1.0:0.3"):
+            holder = hold_worker(engine, seed=12)
+            filler = threading.Thread(
+                target=engine.score_resilient, args=(synthetic_graphs(2, seed=13),)
+            )
+            filler.start()
+            assert wait_until(lambda: engine.describe()["queued"] == 2)
+            # the queue is at its cap: the whole call is shed, at once
+            outcome = engine.score_resilient(synthetic_graphs(1, seed=14))
+            for thread in (holder, filler):
+                thread.join(timeout=30)
+        assert outcome.statuses == ["shed_overload"]
+        assert isinstance(outcome.errors[0], EngineOverloaded)
+        assert engine.stats.shed_overload == 1
 
     def test_shed_requests_are_never_cached(self, model):
         engine = make_engine(model)
@@ -367,7 +392,7 @@ class TestDedupResilience:
     def test_follower_retries_when_leader_fails(self, model):
         engine = make_engine(model, breaker=None, fallback=None)
         graph = synthetic_graphs(1, seed=21)[0]
-        fp = engine.request_cache.fingerprints([graph])[0]
+        fp = graph_fingerprint(graph)
         key = (engine.model_version, fp, "", 0.0)
         poisoned: Future = Future()
         engine._inflight[key] = poisoned
@@ -444,17 +469,21 @@ class TestCrashRecovery:
             force_open(engine.breaker)
             degraded = engine.score_resilient(graphs)
             assert degraded.statuses == ["degraded"] * 4
-            fps = engine.request_cache.fingerprints(graphs)
-            keys = [(engine.model_version, fp, "", 0.0) for fp in fps]
+            keys = [
+                (engine.model_version, graph_fingerprint(g), "", 0.0) for g in graphs
+            ]
             cached = engine.prediction_cache.get_many(keys)
         assert cached == [None] * 4
 
     def test_close_is_clean_with_supervisor(self, model):
         engine = make_engine(model)
-        engine.score(synthetic_graphs(2, seed=35))
+        assert engine.score_resilient(synthetic_graphs(2, seed=35)).statuses == [
+            "ok"
+        ] * 2
         engine.close()
-        with pytest.raises(ServingError):
-            engine.submit_many(synthetic_graphs(1, seed=36))
+        refused = engine.score_resilient(synthetic_graphs(1, seed=36))
+        assert refused.statuses == ["shed_overload"]
+        assert isinstance(refused.errors[0], EngineClosed)
 
 
 # ======================================================================
@@ -671,19 +700,25 @@ class TestHTTPResilience:
         assert "shed_deadline" in engine["stats"]
 
     def test_overload_is_503_with_retry_after(self, model):
-        engine = make_engine(
-            model, shards=1, max_queue=2, breaker=None, fallback=None,
-            max_wait_us=200_000.0,
-        )
+        engine = make_engine(model, shards=1, max_queue=2, breaker=None, fallback=None)
         service = AdvisorService(engine, catalog=None, estimator=None)
         server = make_server(service)
         server.serve_in_background()
         try:
-            graphs = [graph_to_json(g) for g in synthetic_graphs(3, seed=42)]
-            # pin the worker on a first batch so the queue stays full
-            engine.submit_many(synthetic_graphs(1, seed=43))
-            with pytest.raises(urllib.error.HTTPError) as err:
-                self._post(f"{server.url}/predict", {"graphs": graphs})
+            graphs = [graph_to_json(g) for g in synthetic_graphs(1, seed=42)]
+            with injected("forward:delay:1.0:0.3"):
+                # the worker is busy and the queue is at its cap
+                holder = hold_worker(engine, seed=43)
+                filler = threading.Thread(
+                    target=engine.score_resilient,
+                    args=(synthetic_graphs(2, seed=44),),
+                )
+                filler.start()
+                assert wait_until(lambda: engine.describe()["queued"] == 2)
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    self._post(f"{server.url}/predict", {"graphs": graphs})
+                for thread in (holder, filler):
+                    thread.join(timeout=30)
             assert err.value.code == 503
             assert err.value.headers["Retry-After"] == "1"
             assert self._error_body(err.value)["error"]["code"] == "overloaded"

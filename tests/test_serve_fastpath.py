@@ -1,21 +1,26 @@
 """Serving fast-path tests: sharded engine + fingerprint-keyed caches.
 
-Covers DESIGN.md §11: the sharded engine's equivalence with the single
-worker (identical predictions and stats totals, including a mid-stream
-model swap), the two-tier request cache (content fingerprints, prepared
-reuse, payload decode skip), the version-keyed prediction cache (exact
+Covers DESIGN.md §11: the multi-worker engine's equivalence with serial
+prediction (identical predictions and stats totals, including a
+mid-stream model swap), one hash per graph and no graph pinned after a
+call, the request cache tiers (prepared reuse, topology rehydration,
+payload decode skip), the version-keyed prediction cache (exact
 hit/cold equality, atomic invalidation on canary promotion under live
 load), and the lock-free ``/stats`` snapshot surface.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import signal
+import sys
 import threading
 import urllib.error
 import urllib.request
+import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -23,13 +28,13 @@ import pytest
 
 from repro.core import encoding as enc
 from repro.core.joint_graph import JointGraph
-from repro.exceptions import ServingError
+from repro.exceptions import EngineClosed
 from repro.feedback import FeedbackLog, graph_fingerprint
 from repro.model import CostGNN, GNNConfig, predict_runtimes
 from repro.model.prepared import prepare_graph
 from repro.serve import (
     AdvisorService,
-    MicroBatchEngine,
+    DegradedFallback,
     ModelRegistry,
     PredictionCache,
     PreparedRequestCache,
@@ -41,7 +46,12 @@ from repro.serve import (
 )
 from repro.stats import ActualCardinalityEstimator, StatisticsCatalog
 
-from tests.test_serving import _load_serve_script, make_udf_query, synthetic_graphs
+from tests.test_resilience import wait_until
+from tests.test_serving import load_script, make_udf_query, synthetic_graphs
+
+
+def fingerprints(graphs: list[JointGraph]) -> list[str]:
+    return [graph_fingerprint(g) for g in graphs]
 
 
 def clone_graph(graph: JointGraph) -> JointGraph:
@@ -93,23 +103,13 @@ class TestGraphFingerprint:
 
 # ======================================================================
 class TestPreparedRequestCache:
-    def test_fingerprints_are_memoized_by_identity(self):
-        cache = PreparedRequestCache()
-        graphs = synthetic_graphs(4, seed=3)
-        first = cache.fingerprints(graphs)
-        again = cache.fingerprints(graphs)
-        assert first == again
-        assert cache.stats()["fingerprint_memo"] == 4
-        # content-equal fresh objects produce the same fingerprints
-        assert cache.fingerprints([clone_graph(g) for g in graphs]) == first
-
     def test_prepared_hits_across_distinct_objects(self, model):
         cache = PreparedRequestCache()
         graphs = synthetic_graphs(6, seed=4)
-        cache.prepared_many(graphs)
+        cache.prepared_many(graphs, fingerprints(graphs))
         assert cache.stats()["prepared_misses"] == 6
         clones = [clone_graph(g) for g in graphs]
-        prepared = cache.prepared_many(clones)
+        prepared = cache.prepared_many(clones, fingerprints(clones))
         stats = cache.stats()
         assert stats["prepared_hits"] == 6
         assert stats["prepared_misses"] == 6
@@ -123,7 +123,7 @@ class TestPreparedRequestCache:
         cache = PreparedRequestCache()
         graph = synthetic_graphs(1, seed=5)[0]
         twins = [graph, clone_graph(graph), clone_graph(graph)]
-        prepared = cache.prepared_many(twins)
+        prepared = cache.prepared_many(twins, fingerprints(twins))
         assert cache.stats()["prepared_misses"] == 3  # all missed...
         assert prepared[0] is prepared[1] is prepared[2]  # ...one prepare
 
@@ -133,7 +133,7 @@ class TestPreparedRequestCache:
         # predictions must be exactly the full-preparation predictions
         cache = PreparedRequestCache()
         base = synthetic_graphs(5, seed=21)
-        cache.prepared_many(base)
+        cache.prepared_many(base, fingerprints(base))
         rng = np.random.default_rng(99)
         variants = []
         for g in base:
@@ -147,7 +147,7 @@ class TestPreparedRequestCache:
             )
         from repro.model.batching import make_batch_prepared
 
-        prepared = cache.prepared_many(variants)
+        prepared = cache.prepared_many(variants, fingerprints(variants))
         stats = cache.stats()
         assert stats["topology_hits"] == 5
         batch = make_batch_prepared(
@@ -162,7 +162,8 @@ class TestPreparedRequestCache:
 
         cache = PreparedRequestCache()
         n = JOINT_PREPARE_THRESHOLD + 4
-        prepared = cache.prepared_many(synthetic_graphs(n, seed=22))
+        graphs = synthetic_graphs(n, seed=22)
+        prepared = cache.prepared_many(graphs, fingerprints(graphs))
         # joint preparation: one shared base token across the whole set
         assert len({p.base_token for p in prepared}) == 1
         assert cache.stats()["topology_hits"] == 0
@@ -216,64 +217,123 @@ class TestPredictionCache:
 class TestShardedEngine:
     def test_predictions_match_single_worker(self, model):
         graphs = synthetic_graphs(48, seed=6)
-        with MicroBatchEngine(model, max_batch_size=16) as single:
-            serial = single.predict(graphs)
+        serial = predict_runtimes(model, graphs)
         with ShardedEngine(model, shards=4, max_batch_size=16) as sharded:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 concurrent = list(
-                    pool.map(lambda g: sharded.submit(g).result(), graphs)
+                    pool.map(lambda g: sharded.score_resilient([g]).values[0], graphs)
                 )
         np.testing.assert_allclose(concurrent, serial, rtol=1e-9)
 
     def test_stats_totals_match_single_worker(self, model):
         graphs = synthetic_graphs(40, seed=7)
-        with MicroBatchEngine(model, max_batch_size=8) as single:
-            single.predict(graphs)
-        with ShardedEngine(model, shards=4, max_batch_size=8) as sharded:
-            sharded.predict(graphs)
-        merged = sharded.stats
-        assert merged.requests == single.stats.requests == 40
-        assert merged.predictions == single.stats.predictions == 40
-        assert merged.failed_requests == single.stats.failed_requests == 0
-        # the burst was spread over every shard's queue
-        per_shard = sharded.describe()["per_shard"]
+        totals = {}
+        for shards in (1, 4):
+            with ShardedEngine(model, shards=shards, max_batch_size=8) as engine:
+                engine.score_resilient(graphs)
+            totals[shards] = engine.stats
+        merged, single = totals[4], totals[1]
+        assert merged.requests == single.requests == 40
+        assert merged.predictions == single.predictions == 40
+        assert merged.failed_requests == single.failed_requests == 0
+        per_shard = engine.describe()["per_shard"]
         assert len(per_shard) == 4
-        assert sum(s["requests"] for s in per_shard) == 40
-        assert all(s["requests"] > 0 for s in per_shard)
+        assert sum(s["predictions"] for s in per_shard) == 40
 
     def test_mid_stream_swap_matches_single_worker(self, model, other_model):
         first = synthetic_graphs(12, seed=8)
         second = synthetic_graphs(12, seed=9)
-        results = {}
-        for name, engine in (
-            ("single", MicroBatchEngine(model, max_batch_size=4)),
-            ("sharded", ShardedEngine(model, shards=4, max_batch_size=4)),
-        ):
-            with engine:
-                before = engine.predict(first)
-                engine.swap_model(other_model)
-                after = engine.predict(second)
-            results[name] = (before, after)
-        for phase in (0, 1):
-            np.testing.assert_allclose(
-                results["sharded"][phase], results["single"][phase], rtol=1e-9
-            )
+        with ShardedEngine(model, shards=4, max_batch_size=4) as engine:
+            before = engine.score_resilient(first).values
+            engine.swap_model(other_model)
+            after = engine.score_resilient(second).values
+        np.testing.assert_allclose(before, predict_runtimes(model, first), rtol=1e-9)
         np.testing.assert_allclose(
-            results["sharded"][1],
-            predict_runtimes(other_model, second),
-            rtol=1e-9,
+            after, predict_runtimes(other_model, second), rtol=1e-9
         )
+
+    def test_shared_queue_under_contention_loses_nothing(self, model):
+        # more workers and callers than cores, with a short switch
+        # interval: a lost counter update or a dropped request shows
+        graphs = synthetic_graphs(96, seed=17)
+        outcomes: list = [None] * 8
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ShardedEngine(model, shards=4, max_batch_size=8) as engine:
+
+                def client(k: int) -> None:
+                    outcomes[k] = engine.score_resilient(graphs[k::8])
+
+                threads = [
+                    threading.Thread(target=client, args=(k,)) for k in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert engine.describe()["queued"] == 0
+        finally:
+            sys.setswitchinterval(previous)
+        # read after close joined the workers: every batch is counted
+        stats = engine.stats
+        assert stats.requests == stats.predictions == 96
+        for k, outcome in enumerate(outcomes):
+            np.testing.assert_allclose(
+                outcome.values, predict_runtimes(model, graphs[k::8]), rtol=1e-9
+            )
+
+    def test_each_graph_is_hashed_once_per_call(self, model, monkeypatch):
+        calls: Counter = Counter()
+
+        def counting(graph):
+            calls[id(graph)] += 1
+            return graph_fingerprint(graph)
+
+        # every repro module that imported the hash by name counts it
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") and (
+                getattr(module, "graph_fingerprint", None) is graph_fingerprint
+            ):
+                monkeypatch.setattr(module, "graph_fingerprint", counting)
+        graphs = synthetic_graphs(5, seed=15)
+        with ShardedEngine(
+            model, shards=2, prediction_cache=PredictionCache()
+        ) as engine:
+            outcome = engine.score_resilient(graphs)
+        assert outcome.statuses == ["ok"] * 5
+        assert calls == Counter({id(g): 1 for g in graphs})
+
+    def test_scored_graphs_are_not_pinned(self, model):
+        graphs = synthetic_graphs(3, seed=16)
+        with ShardedEngine(
+            model,
+            shards=2,
+            prediction_cache=PredictionCache(),
+            fallback=DegradedFallback(),
+        ) as engine:
+            assert engine.score_resilient(graphs).statuses == ["ok"] * 3
+            refs = [weakref.ref(g) for g in graphs]
+            del graphs
+
+            def released() -> bool:
+                gc.collect()
+                return all(ref() is None for ref in refs)
+
+            # the worker drops its batch right after resolving it
+            assert wait_until(released, timeout=5.0)
 
     def test_score_hit_path_is_exact(self, model):
         graphs = synthetic_graphs(16, seed=10)
         with ShardedEngine(
             model, shards=2, prediction_cache=PredictionCache()
         ) as engine:
-            cold = engine.score(graphs)
-            hot = engine.score([clone_graph(g) for g in graphs])
+            cold = engine.score_resilient(graphs).values
+            hot = engine.score_resilient([clone_graph(g) for g in graphs]).values
             stats = engine.prediction_cache.stats()
         np.testing.assert_allclose(cold, predict_runtimes(model, graphs), rtol=1e-9)
-        assert np.array_equal(hot, cold)  # bit-identical, not just close
+        assert hot == cold  # bit-identical, not just close
         assert stats["hits"] == 16
         assert stats["misses"] == 16
 
@@ -283,9 +343,9 @@ class TestShardedEngine:
         with ShardedEngine(
             model, shards=2, prediction_cache=PredictionCache()
         ) as engine:
-            values = engine.score(twins)
+            values = engine.score_resilient(twins).values
             assert engine.stats.predictions == 1  # one forward for four asks
-        assert len(set(values.tolist())) == 1
+        assert len(set(values)) == 1
 
     def test_swap_under_live_load_never_serves_stale(self, model, other_model):
         """The version-keyed invalidation gate of the acceptance list:
@@ -306,7 +366,7 @@ class TestShardedEngine:
             rng = np.random.default_rng(seed)
             while not stop.is_set():
                 idx = rng.integers(0, len(graphs), size=8)
-                values = engine.score([graphs[i] for i in idx])
+                values = engine.score_resilient([graphs[i] for i in idx]).values
                 for value, i in zip(values, idx):
                     ok_old = abs(value - expected_old[i]) <= 1e-9 * abs(
                         expected_old[i]
@@ -325,7 +385,7 @@ class TestShardedEngine:
                 t.start()
             engine.swap_model(other_model)
             # the moment swap_model returns, scores must be new-model
-            post = engine.score(graphs)
+            post = engine.score_resilient(graphs).values
             stop.set()
             for t in threads:
                 t.join()
@@ -335,16 +395,11 @@ class TestShardedEngine:
 
     def test_describe_takes_no_dispatch_lock(self, model):
         with ShardedEngine(model, shards=2) as engine:
-            engine.predict(synthetic_graphs(4, seed=13))
-            # hold every shard's dispatch lock: a describe() that needed
-            # one would deadlock here; a snapshot read sails through
-            for shard in engine._shards:
-                shard._lock.acquire()
-            try:
+            engine.score_resilient(synthetic_graphs(4, seed=13))
+            # hold the queue lock: a describe() that needed it would
+            # deadlock here; a snapshot read sails through
+            with engine._lock:
                 info = engine.describe()
-            finally:
-                for shard in engine._shards:
-                    shard._lock.release()
         assert info["stats"]["predictions"] == 4
         assert info["queued"] == 0
 
@@ -461,8 +516,7 @@ class TestHTTPFastPath:
             f"{server.url}/predict",
             {"graphs": [graph_to_json(g) for g in (good[0], cyclic, good[1])]},
         )
-        # score() is all-or-nothing, so the handler fell back to the
-        # per-request path: neighbours succeed, only the culprit errors
+        # per-item statuses: neighbours succeed, only the culprit errors
         assert response["runtimes"][0] is not None
         assert response["runtimes"][1] is None
         assert response["runtimes"][2] is not None
@@ -485,7 +539,7 @@ class TestHTTPFastPath:
         engine = stats["engine"]
         assert engine["shards"] == 4
         assert len(engine["per_shard"]) == 4
-        assert "queued" in engine["per_shard"][0]
+        assert "batches" in engine["per_shard"][0]
         assert "prediction_cache" in engine
         assert "request_cache" in engine
         assert "costgnn-shop" in stats["registry"]["models"]
@@ -515,7 +569,7 @@ class TestSigtermUnderLiveLoad:
     disk before the process would exit."""
 
     def test_sigterm_drains_cleanly_under_load(self, sharded_service, tmp_path):
-        serve_script = _load_serve_script()
+        serve_script = load_script("serve")
         feedback = FeedbackLog(tmp_path / "fb-drain", capacity=256, chunk_records=64)
         sharded_service.feedback = feedback
         server = make_server(sharded_service)
@@ -585,9 +639,12 @@ class TestSigtermUnderLiveLoad:
             assert sum(t["bad"] for t in tallies) == 0, (
                 f"unclean responses under drain: {tallies}"
             )
-            # the engine is drained and refuses new work explicitly
-            with pytest.raises(ServingError):
-                sharded_service.engine.submit(synthetic_graphs(1, seed=2)[0])
+            # the engine is drained and refuses new work explicitly (a
+            # graph no client sent: a prediction-cache miss)
+            refused = sharded_service.engine.score_resilient(
+                synthetic_graphs(1, seed=99_999)
+            )
+            assert isinstance(refused.errors[0], EngineClosed)
             stats = feedback.stats()
             assert stats["pending_records"] == 0
             assert stats["dropped_pending"] == 0

@@ -28,12 +28,12 @@ from repro.advisor import SELECTIVITY_LEVELS, PullUpAdvisor
 from repro.bench import build_dataset_benchmark
 from repro.core import encoding as enc
 from repro.core.joint_graph import JointGraph
-from repro.exceptions import ReproError, ServingError
+from repro.exceptions import EngineClosed, ReproError, ServingError
+from repro.faults import injected
 from repro.feedback import FeedbackLog
 from repro.model import CostGNN, GNNConfig, predict_runtimes
 from repro.serve import (
     AdvisorService,
-    MicroBatchEngine,
     ModelRegistry,
     ShardedEngine,
     graph_from_json,
@@ -54,6 +54,7 @@ from repro.sql import (
 from repro.stats import ActualCardinalityEstimator, StatisticsCatalog
 from repro.storage.datatypes import DataType
 from repro.udf import UDF
+from tests.test_resilience import wait_until
 
 
 def synthetic_graphs(
@@ -169,41 +170,67 @@ class TestModelRegistry:
 
 # ======================================================================
 class TestMicroBatchEngine:
+    """The engine's batching contract, driven through ``score_resilient``."""
+
     def test_concurrent_requests_match_serial(self, model):
         graphs = synthetic_graphs(48)
         serial = predict_runtimes(model, graphs)
-        with MicroBatchEngine(model, max_batch_size=16) as engine:
+        with ShardedEngine(model, shards=1, max_batch_size=16) as engine:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 concurrent = list(
-                    pool.map(lambda g: engine.submit(g).result(), graphs)
+                    pool.map(lambda g: engine.score_resilient([g]).values[0], graphs)
                 )
         np.testing.assert_allclose(concurrent, serial, rtol=1e-9)
 
-    def test_flush_on_max_batch_size(self, model):
-        graphs = synthetic_graphs(32, seed=1)
-        # max_wait far beyond the test budget: only a full batch flushes
-        with MicroBatchEngine(model, max_batch_size=32, max_wait_us=60e6) as engine:
-            futures = engine.submit_many(graphs)
-            values = [f.result(timeout=30) for f in futures]
-        assert engine.stats.size_flushes >= 1
-        assert engine.stats.timeout_flushes == 0
-        assert engine.stats.max_batch_observed == 32
-        assert all(v > 0 for v in values)
+    def test_burst_beyond_max_batch_size_splits(self, model):
+        graphs = synthetic_graphs(40, seed=1)
+        with ShardedEngine(model, shards=2, max_batch_size=16) as engine:
+            outcome = engine.score_resilient(graphs)
+        assert outcome.statuses == ["ok"] * 40
+        assert engine.stats.batches >= 2
+        assert engine.stats.max_batch_observed <= 16
+        np.testing.assert_allclose(
+            outcome.values, predict_runtimes(model, graphs), rtol=1e-9
+        )
 
-    def test_flush_on_max_wait(self, model):
-        graphs = synthetic_graphs(3, seed=2)
-        with MicroBatchEngine(model, max_batch_size=64, max_wait_us=1000.0) as engine:
-            futures = engine.submit_many(graphs)
-            values = [f.result(timeout=30) for f in futures]
-        # 3 < 64 requests: only the max-wait timer can have flushed them
-        assert engine.stats.timeout_flushes >= 1
-        assert engine.stats.size_flushes == 0
-        assert len(values) == 3
+    def test_requests_queued_behind_a_busy_worker_coalesce(self, model):
+        first = synthetic_graphs(2, seed=2)
+        queued = synthetic_graphs(8, seed=12)
+        engine = ShardedEngine(model, shards=1, max_batch_size=64)
+        outcomes: dict[int, object] = {}
+
+        def score(key: int, graphs: list[JointGraph]) -> None:
+            outcomes[key] = engine.score_resilient(graphs)
+
+        with engine, injected("forward:delay:1.0:0.5"):
+            # the only worker sleeps inside the first batch's forward...
+            holder = threading.Thread(target=score, args=(-1, first))
+            holder.start()
+            assert wait_until(
+                lambda: engine.stats.requests == 2 and not engine.describe()["queued"]
+            )
+            # ...while four callers queue two graphs each behind it
+            callers = [
+                threading.Thread(target=score, args=(i, queued[2 * i : 2 * i + 2]))
+                for i in range(4)
+            ]
+            for thread in callers:
+                thread.start()
+            assert wait_until(lambda: engine.describe()["queued"] == 8)
+            for thread in [holder, *callers]:
+                thread.join(timeout=30)
+        # no timer split them: the eight queued graphs ran as one batch
+        assert engine.stats.batches == 2
+        assert engine.stats.max_batch_observed == 8
+        values = [v for i in range(4) for v in outcomes[i].values]
+        np.testing.assert_allclose(
+            values, predict_runtimes(model, queued), rtol=1e-9
+        )
 
     def test_batched_equals_joint_prediction(self, model):
         graphs = synthetic_graphs(20, seed=3)
-        with MicroBatchEngine(model, max_batch_size=64) as engine:
-            batched = engine.predict(graphs)
+        with ShardedEngine(model, shards=1, max_batch_size=64) as engine:
+            batched = engine.score_resilient(graphs).values
         np.testing.assert_allclose(
             batched, predict_runtimes(model, graphs), rtol=1e-9
         )
@@ -216,30 +243,45 @@ class TestMicroBatchEngine:
         cyclic.add_edge(a, b)
         cyclic.add_edge(b, a)
         cyclic.root_id = b
-        with MicroBatchEngine(model, max_batch_size=8) as engine:
-            futures = engine.submit_many(graphs[:2] + [cyclic] + graphs[2:])
-            good = [futures[i] for i in (0, 1, 3, 4)]
-            values = [f.result(timeout=30) for f in good]
-            with pytest.raises(ReproError):
-                futures[2].result(timeout=30)
-        assert engine.stats.failed_requests == 1
+        with ShardedEngine(model, shards=1, max_batch_size=8) as engine:
+            outcome = engine.score_resilient(graphs[:2] + [cyclic] + graphs[2:])
+        assert outcome.statuses == ["ok", "ok", "error", "ok", "ok"]
+        assert isinstance(outcome.errors[2], ReproError)
+        # the isolation pass and the leader's one retry both fail it
+        assert engine.stats.failed_requests == 2
+        good = [outcome.values[i] for i in (0, 1, 3, 4)]
         np.testing.assert_allclose(
-            values, predict_runtimes(model, graphs), rtol=1e-9
+            good, predict_runtimes(model, graphs), rtol=1e-9
         )
 
     def test_closed_engine_rejects_and_drains(self, model):
         graphs = synthetic_graphs(6, seed=5)
-        engine = MicroBatchEngine(model, max_batch_size=4)
-        futures = engine.submit_many(graphs)
-        engine.close()
-        assert all(f.done() for f in futures)  # drained, not dropped
-        with pytest.raises(ServingError):
-            engine.submit(graphs[0])
+        engine = ShardedEngine(model, shards=1, max_batch_size=4)
+        outcomes: list = []
+        with injected("forward:delay:1.0:0.2"):
+            threads = [
+                threading.Thread(
+                    target=lambda chunk: outcomes.append(engine.score_resilient(chunk)),
+                    args=(graphs[i : i + 3],),
+                )
+                for i in (0, 3)
+            ]
+            for thread in threads:
+                thread.start()
+            assert wait_until(lambda: engine.stats.requests == 6)
+            engine.close()
+            for thread in threads:
+                thread.join(timeout=30)
+        # drained, not dropped: both queued calls were answered
+        assert [o.statuses for o in outcomes] == [["ok"] * 3, ["ok"] * 3]
+        refused = engine.score_resilient(graphs[:1])
+        assert refused.statuses == ["shed_overload"]
+        assert isinstance(refused.errors[0], EngineClosed)
         engine.close()  # idempotent
 
     def test_describe_shape(self, model):
-        with MicroBatchEngine(model, max_batch_size=8) as engine:
-            engine.predict(synthetic_graphs(4, seed=6))
+        with ShardedEngine(model, shards=1, max_batch_size=8) as engine:
+            engine.score_resilient(synthetic_graphs(4, seed=6))
             info = engine.describe()
         assert info["max_batch_size"] == 8
         assert info["stats"]["requests"] == 4
@@ -482,10 +524,10 @@ class TestHTTPFrontend:
 
 
 # ======================================================================
-def _load_serve_script():
-    """Import scripts/serve.py as a module (scripts/ is not a package)."""
-    path = Path(__file__).resolve().parent.parent / "scripts" / "serve.py"
-    spec = importlib.util.spec_from_file_location("serve_script", path)
+def load_script(name: str):
+    """Import ``scripts/<name>.py`` as a module (scripts/ is not a package)."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{name}_script", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -495,7 +537,7 @@ class TestGracefulShutdown:
     def test_sigterm_drains_server_and_engine(self, serving_setup):
         # Container/CI deployments stop scripts/serve.py with SIGTERM;
         # the signal must take the same clean-drain path as ctrl-c.
-        serve_script = _load_serve_script()
+        serve_script = load_script("serve")
         service, _, _ = serving_setup
         server = make_server(service)
         previous = signal.getsignal(signal.SIGTERM)
@@ -507,8 +549,8 @@ class TestGracefulShutdown:
             timer.cancel()
         # handler restored, HTTP stopped, micro-batch engine drained
         assert signal.getsignal(signal.SIGTERM) is previous
-        with pytest.raises(ServingError):
-            service.engine.submit(synthetic_graphs(1)[0])
+        refused = service.engine.score_resilient(synthetic_graphs(1))
+        assert isinstance(refused.errors[0], EngineClosed)
 
     def test_server_drain_is_idempotent(self, serving_setup):
         service, _, _ = serving_setup
@@ -516,8 +558,8 @@ class TestGracefulShutdown:
         server.serve_in_background()
         server.drain()
         server.drain()
-        with pytest.raises(ServingError):
-            server.engine.submit(synthetic_graphs(1)[0])
+        refused = server.engine.score_resilient(synthetic_graphs(1))
+        assert isinstance(refused.errors[0], EngineClosed)
 
 
 # ======================================================================
@@ -613,7 +655,7 @@ class TestServeScript:
     def test_advise_and_feedback_round_trip_then_clean_drain(self, model, tmp_path):
         registry_dir = str(tmp_path / "registry")
         ModelRegistry(registry_dir).publish("served", model)
-        serve_script = _load_serve_script()
+        serve_script = load_script("serve")
         args = serve_script.parse_args(
             ["--registry-dir", registry_dir, "--model", "served"]
             + ["--dataset", "imdb", "--queries", "6", "--port", "0"]
